@@ -23,17 +23,13 @@ from fraclat import (
     w_prime,
     w_second,
 )
-from fraclat.symbol import normalization_constant_closed_form
 
 alpha, beta = 1.5, 0.85
 cfg = SymbolConfig(alpha=alpha)
 
 print(f"=== normalization (alpha = {alpha}) ===")
-c_fit = normalization_constant(cfg)
-c_closed = normalization_constant_closed_form(alpha)
-print(f"Richardson-fitted c = {c_fit:.10f}")
-print(f"closed form  pi/(Gamma(1+a) sin(a pi/2)) = {c_closed:.10f}")
-print(f"relative difference = {abs(c_fit-c_closed)/c_closed:.2e}")
+print("w(xi) = c |xi|^a - 2 sum_j (-1)^j zeta(1+a-2j) xi^(2j)/(2j)!  for |xi| < 2 pi")
+print(f"c = pi/(Gamma(1+a) sin(a pi/2)) = {normalization_constant(cfg):.10f}")
 
 print()
 print("=== small-xi agreement with |xi|^alpha (normalized) ===")

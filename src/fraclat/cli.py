@@ -22,13 +22,14 @@ from pathlib import Path
 from . import __version__
 from .harness import (
     gaussian_profile,
+    grid_for,
     run_continuum_study,
     run_mass_uniformity,
     run_ml_check,
     run_smoothing_experiment,
     run_symbol_checks,
 )
-from .lattice import field_to_bytes
+from .lattice import field_to_bytes, norm_lp
 from .solver import (
     ModelParams,
     NonContractionError,
@@ -36,7 +37,6 @@ from .solver import (
     TimeGrid,
     solve,
 )
-from .harness import _grid_for
 
 
 class ConfigError(ValueError):
@@ -54,43 +54,49 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {s!r}")
+    return v
+
+
 def _parse_float_list(s: str) -> list[float]:
-    return [float(tok) for tok in s.replace(",", " ").split()]
+    return [_parse_float(tok) for tok in s.replace(",", " ").split()]
 
 
 _KEY_PARSERS = {
     "experiment": str,
-    "alpha": float,
-    "beta": float,
+    "alpha": _parse_float,
+    "beta": _parse_float,
     "p": int,
     "sign": int,
-    "s": float,
-    "delta": float,
+    "s": _parse_float,
+    "delta": _parse_float,
     "use_filter": _parse_bool,
-    "extent": float,
-    "h": float,
+    "extent": _parse_float,
+    "h": _parse_float,
     "h_list": _parse_float_list,
-    "h_ref": float,
+    "h_ref": _parse_float,
     "n_points": int,
-    "T": float,
+    "T": _parse_float,
     "m_steps": int,
     "n_times": int,
-    "tol": float,
-    "eps": float,
-    "ratio_cap": float,
+    "tol": _parse_float,
+    "eps": _parse_float,
+    "ratio_cap": _parse_float,
     "linear_only": _parse_bool,
     "initial": str,
-    "amplitude": float,
-    "width": float,
-    "center": float,
-    "freq": float,
-    "packet_width": float,
+    "amplitude": _parse_float,
+    "width": _parse_float,
+    "center": _parse_float,
+    "freq": _parse_float,
+    "packet_width": _parse_float,
     "alphas": _parse_float_list,
     "betas": _parse_float_list,
     "n_radii": int,
-    "r_max": float,
+    "r_max": _parse_float,
     "workers": int,
-    "seed": int,
 }
 
 
@@ -177,7 +183,7 @@ def _initial_profile(cfg: RunConfig):
         return gaussian_profile(amplitude=amp, width=width)
     if kind.startswith("packet"):
         inner = kind[len("packet") :].strip("() ")
-        parts = [float(tok) for tok in inner.split(",")] if inner else []
+        parts = [_parse_float(tok) for tok in inner.split(",")] if inner else []
         center = parts[0] if len(parts) > 0 else cfg.get("center", 0.0)
         w = parts[1] if len(parts) > 1 else width
         freq = parts[2] if len(parts) > 2 else cfg.get("freq", 0.0)
@@ -194,7 +200,7 @@ def _write_csv(path: Path, header: list[str], rows: list) -> None:
 
 def _report_rows(exp: str, report: dict) -> tuple[list[str], list]:
     if exp == "symbol":
-        # dense symbol table; the summary block {alpha, beta, xi0, xi1, c_fit}
+        # dense symbol table; the summary block {alpha, beta, xi0, xi1, c}
         # stays in the JSON report
         rows = []
         for r in report["results"]:
@@ -238,10 +244,10 @@ def _run_solve(cfg: RunConfig, out_dir: Path) -> dict:
     params = cfg.params
     extent = cfg.get("extent", 51.2)
     if "h" in cfg.raw:
-        grid = _grid_for(extent, cfg.require("h"))
+        grid = grid_for(extent, cfg.require("h"))
     else:
         n = cfg.require("n_points")
-        grid = _grid_for(extent, extent / n)
+        grid = grid_for(extent, extent / n)
     tg = TimeGrid(T=cfg.require("T"), m_steps=cfg.get("m_steps", 128))
     f = _initial_profile(cfg)
     t0 = time.perf_counter()
@@ -253,11 +259,8 @@ def _run_solve(cfg: RunConfig, out_dir: Path) -> dict:
     (out_dir / "trajectory.bin").write_bytes(blob)
     _write_csv(
         out_dir / "solve_data.csv",
-        ["t", "l2_norm", "residual"],
-        [
-            [float(t), float(math.sqrt(grid.h * sum(abs(v) ** 2 for v in s.values).real)), None]
-            for t, s in zip(traj.times, traj.snapshots)
-        ],
+        ["t", "l2_norm"],
+        [[float(t), norm_lp(s, 2)] for t, s in zip(traj.times, traj.snapshots)],
     )
     return {
         "experiment": "solve",

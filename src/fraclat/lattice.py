@@ -41,8 +41,8 @@ class LatticeGrid:
     n_points: int
 
     def __post_init__(self) -> None:
-        if self.h <= 0.0:
-            raise ValueError("LatticeGrid: h must be positive")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise ValueError(f"LatticeGrid: h must be positive and finite, got {self.h}")
         if self.n_points < 8 or self.n_points % 2:
             raise ValueError("LatticeGrid: n_points must be even and >= 8")
 

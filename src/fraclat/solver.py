@@ -141,8 +141,8 @@ class TimeGrid:
     m_steps: int
 
     def __post_init__(self) -> None:
-        if self.T <= 0.0:
-            raise ValueError("TimeGrid: T must be positive")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"TimeGrid: T must be positive and finite, got {self.T}")
         if self.m_steps < 2:
             raise ValueError("TimeGrid: m_steps must be >= 2")
 
@@ -179,10 +179,10 @@ class SolutionTrajectory:
 
 
 class SymbolTable:
-    """Per-mode dispersion multipliers and cached kernel weight tables."""
+    """Per-mode dispersion multipliers and the kernel tables built from them."""
 
     def __init__(self, grid: LatticeGrid, params: ModelParams, kind: str = "lattice",
-                 ml_tol: float = 5e-8, series_terms: int = 100_000):
+                 ml_tol: float = 5e-8):
         if kind not in ("lattice", "continuum"):
             raise ValueError(f"symbol kind must be 'lattice' or 'continuum': {kind}")
         self.grid = grid
@@ -190,13 +190,11 @@ class SymbolTable:
         self.kind = kind
         self.ml_tol = ml_tol
         if kind == "lattice":
-            cfg = SymbolConfig(alpha=params.alpha, series_terms=series_terms)
-            wvals = w_on_dft_grid(cfg, grid.n_points)
+            wvals = w_on_dft_grid(SymbolConfig(alpha=params.alpha), grid.n_points)
             self.mu = wvals / grid.h**params.alpha
         else:
             self.mu = (np.abs(grid.freqs()) / grid.h) ** params.alpha
         self.mu[grid.n_points // 2] = 0.0  # zero mode exactly
-        self._weights: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def propagator_multiplier(self, t: float) -> np.ndarray:
         """E_beta(i^{-beta} t^beta mu) for every mode."""
@@ -217,12 +215,7 @@ class SymbolTable:
         the linear density over [t_j, t_{j+1}] with t_n - t_j = l dt is
         A[l-1]*g(t_j) + B[l-1]*g(t_{j+1}).
         """
-        key = (timegrid.T, timegrid.m_steps)
-        if key not in self._weights:
-            self._weights[key] = _duhamel_weight_tables(
-                timegrid, self.mu, self.params, self.ml_tol, mode_chunk
-            )
-        return self._weights[key]
+        return _duhamel_weight_tables(timegrid, self.mu, self.params, self.ml_tol, mode_chunk)
 
 
 def _duhamel_nodes(timegrid: TimeGrid, beta: float, n_nodes: int = 8):

@@ -71,6 +71,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"alpha > \(sigma\+1\)/2 fails: 1.2 <= 1.5"):
             parse_config(p)
 
+    @pytest.mark.parametrize(
+        "key, value, bad",
+        [("tol", "nan", "nan"), ("T", "inf", "inf"), ("h_list", "0.4, -inf", "-inf"),
+         ("betas", "0.6 NaN", "NaN")],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, key, value, bad):
+        p = write(tmp_path, f"{MINIMAL_SYMBOL}{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"'{key}': not a finite number: '{bad}'"):
+            parse_config(p)
+
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown experiment"):
             parse_config(write(tmp_path, "experiment = frobnicate\n"))
@@ -148,13 +158,17 @@ amplitude = 0.5
         out = tmp_path / "solve_out"
         assert run(cfg, out) == 0
         blob = (out / "trajectory.bin").read_bytes()
-        from fraclat.lattice import field_from_bytes
+        from fraclat.lattice import field_from_bytes, norm_lp
 
         field, t0, offset = field_from_bytes(blob)
         assert t0 == 0.0
         assert field.grid.n_points == 32
         report = json.loads((out / "solve_report.json").read_text())
         assert report["m_steps"] == 16
+        rows = (out / "solve_data.csv").read_text().splitlines()
+        assert rows[0] == "t,l2_norm" and len(rows) == 18
+        t, l2 = map(float, rows[1].split(","))
+        assert t == 0.0 and l2 == pytest.approx(norm_lp(field, 2), rel=1e-15)
         assert max(report["residual_ratios"]) < 1.0
 
 

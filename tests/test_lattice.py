@@ -44,6 +44,9 @@ class TestGrid:
             LatticeGrid(h=0.1, n_points=15)
         with pytest.raises(ValueError):
             LatticeGrid(h=0.1, n_points=4)
+        for h in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"h must be positive and finite, got {h}"):
+                LatticeGrid(h=h, n_points=16)
 
     def test_sites_and_freqs(self):
         g = LatticeGrid(h=0.5, n_points=8)

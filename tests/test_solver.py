@@ -100,6 +100,9 @@ class TestTimeGrid:
             TimeGrid(T=0.0, m_steps=4)
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, m_steps=1)
+        for T in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"T must be positive and finite, got {T}"):
+                TimeGrid(T=T, m_steps=4)
 
 
 class TestDuhamelWeights:

@@ -1,11 +1,14 @@
-"""Dispersion symbol: series evaluation, integral-representation derivatives,
-critical points.  High-precision references come from the polylogarithm:
-w = 2(zeta(1+a) - Re Li_{1+a}(e^{i xi})), w' = 2 Im Li_a, w'' = 2 Re Li_{a-1}."""
+"""Dispersion symbol: the expansion about xi = 0, its derivatives, critical
+points.  High-precision references come from the polylogarithm:
+w = 2(zeta(1+a) - Re Li_{1+a}(e^{i xi})), w' = 2 Im Li_a, w'' = 2 Re Li_{a-1};
+the defining cosine series is the independent oracle for w."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fraclat.symbol import (
     CriticalPoints,
@@ -26,6 +29,20 @@ CFG_RAW = SymbolConfig(alpha=1.5, normalize=False)
 CFG = SymbolConfig(alpha=1.5)
 
 
+def cosine_series(alpha, xi, n_terms=100_000):
+    """2 (zeta(1+a) - sum_{n<=N} cos(n xi)/n^{1+a}) and its truncation bound.
+
+    For decreasing coefficients the partial sums of cos(n xi) are bounded by
+    1/|sin(xi/2)|, so the dropped tail is at most (N+1)^{-1-a}/|sin(xi/2)|.
+    """
+    xi = np.asarray(xi, dtype=float)
+    n = np.arange(1, n_terms + 1, dtype=float)
+    partial = np.cos(np.multiply.outer(xi, n)) @ n ** (-1.0 - alpha)
+    w = 2.0 * (float(mp.zeta(1.0 + alpha)) - partial)
+    bound = 2.0 * (n_terms + 1.0) ** (-1.0 - alpha) / np.abs(np.sin(xi / 2.0))
+    return w, bound
+
+
 class TestConfig:
     def test_alpha_range(self):
         with pytest.raises(ValueError):
@@ -34,14 +51,9 @@ class TestConfig:
             SymbolConfig(alpha=2.0)
 
     def test_other_bounds(self):
-        with pytest.raises(ValueError):
-            SymbolConfig(alpha=1.5, series_terms=10)
-        with pytest.raises(ValueError):
-            SymbolConfig(alpha=1.5, quad_nodes=8)
-
-    def test_tail_bound_formula(self):
-        cfg = SymbolConfig(alpha=1.5, series_terms=100_000)
-        assert cfg.tail_bound() == pytest.approx(4.0 / (1.5 * 100_000**1.5))
+        for beta in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                SymbolConfig(alpha=1.5, beta=beta)
 
 
 class TestWEval:
@@ -68,11 +80,21 @@ class TestWEval:
         assert w_eval(CFG_RAW, 1.0) == pytest.approx(1.8839527613413515, rel=1e-10)
 
     def test_dft_grid_path_matches(self):
+        # fftshifted order: zero frequency at index m/2, -pi first
         for m in (16, 48, 64):
             xi = 2.0 * math.pi * (np.arange(m) - m // 2) / m
-            direct = np.asarray(w_eval(CFG_RAW, xi))
-            folded = w_on_dft_grid(CFG_RAW, m)
-            assert np.abs(direct - folded).max() < 1e-12
+            got = w_on_dft_grid(CFG_RAW, m)
+            assert got[m // 2] == 0.0
+            nz = np.arange(m) != m // 2
+            ref, bound = cosine_series(1.5, xi[nz])
+            assert np.all(np.abs(got[nz] - ref) <= bound + 1e-13)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+    def test_matches_defining_cosine_series(self, alpha):
+        xi = np.array([-2.0, 0.3, 1.0, 2.0, 2.9, math.pi, 0.7 + 2.0 * math.pi])
+        ref, bound = cosine_series(alpha, xi)
+        got = np.asarray(w_eval(SymbolConfig(alpha=alpha, normalize=False), xi))
+        assert np.all(np.abs(got - ref) <= bound + 1e-13)
 
     def test_normalized_small_xi(self):
         # normalized symbol approaches |xi|^alpha
@@ -193,10 +215,9 @@ class TestPhi:
         )
 
     def test_frozen_composition(self):
-        # oracle: 0.1^{-sigma} (w(1)/c)^{1/0.85} at 40 digits with the closed-form
-        # c; the artifact normalizes by the Richardson-fitted c (~2e-6 apart)
+        # oracle: 0.1^{-sigma} (w(1)/c)^{1/0.85} at 40 digits with the closed-form c
         assert phi_eval(CFG, 0.1, 1.0, beta=0.85) == pytest.approx(
-            29.6355737085628, rel=1e-5
+            29.6355737085628, rel=1e-12
         )
 
     def test_beta_required(self):
@@ -231,9 +252,29 @@ class TestSymbolInvariants:
         assert abs(slope - 2.0) <= 0.05
 
     def test_normalization_cross_check(self):
-        # Richardson fit against pi/(Gamma(1+a) sin(a pi/2))
-        for alpha in (1.2, 1.5, 1.9):
-            cfg = SymbolConfig(alpha=alpha)
-            fit = normalization_constant(cfg)
-            closed = normalization_constant_closed_form(alpha)
-            assert fit == pytest.approx(closed, rel=1e-4)
+        # c is the coefficient Gamma(-a) (-i xi)^a + c.c. of the polylogarithm
+        # expansion: -2 Gamma(-a) cos(a pi/2), at 40 digits
+        for alpha in (1.001, 1.2, 1.5, 1.9, 1.999):
+            with mp.workdps(40):
+                a = mp.mpf(alpha)
+                ref = float(-2 * mp.gamma(-a) * mp.cos(a * mp.pi / 2))
+            assert normalization_constant(SymbolConfig(alpha=alpha)) == pytest.approx(ref, rel=1e-14)
+            assert normalization_constant_closed_form(alpha) == pytest.approx(ref, rel=1e-14)
+
+
+# near alpha = 2 the leading terms cancel (error ~ 1e-16/(2 - alpha) relative
+# to their size, ~1e-12 at alpha = 1.999), and below xi ~ 1e-6 the 40-digit
+# reference for w itself cancels away
+@settings(max_examples=50, deadline=None)
+@given(alpha=st.floats(1.001, 1.999), xi=st.floats(1e-6, math.pi))
+def test_expansion_matches_polylog(alpha, xi):
+    cfg = SymbolConfig(alpha=alpha, normalize=False)
+    with mp.workdps(40):
+        a, z = mp.mpf(alpha), mp.expj(mp.mpf(xi))
+        w = float(2 * (mp.zeta(1 + a) - mp.re(mp.polylog(1 + a, z))))
+        wp = float(2 * mp.im(mp.polylog(a, z)))
+        wpp = float(2 * mp.re(mp.polylog(a - 1, z)))
+    assert w_eval(cfg, xi) == pytest.approx(w, rel=1e-9)
+    # w' vanishes at pi and w'' at xi0: an absolute floor there
+    assert w_prime(cfg, xi) == pytest.approx(wp, rel=1e-9, abs=1e-10)
+    assert w_second(cfg, xi) == pytest.approx(wpp, rel=1e-9, abs=1e-10)
