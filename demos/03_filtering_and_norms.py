@@ -53,7 +53,7 @@ print(f"H^0.25_h  = {norm_sobolev(u, 0.25):.8f}")
 
 params = ModelParams(alpha=1.5, beta=0.85)
 tg = TimeGrid(T=1.0, m_steps=8)
-traj = SolutionTrajectory(timegrid=tg, snapshots=[u] * 9)
+traj = SolutionTrajectory(timegrid=tg, grid=grid, values=np.tile(u.values, (9, 1)))
 rep = lambda_norm(traj, params)
 print()
 print("=== contraction norm of the static trajectory ===")

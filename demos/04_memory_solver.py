@@ -39,19 +39,19 @@ print(f"ratios: {[f'{r:.3f}' for r in traj.residual_ratios]}")
 print()
 print("=== mass along the trajectory (beta < 1: no conservation law) ===")
 for i in (0, 32, 64, 96, 128):
-    m = norm_lp(traj.snapshots[i], 2)
+    m = norm_lp(traj.snapshot(i), 2)
     print(f"t = {traj.times[i]:.3f}:  ||u||_L2_h = {m:.8f}")
 
 print()
 print("=== beta = 1 continuum reference conserves mass ===")
 p1 = ModelParams(alpha=1.5, beta=1.0, sign=1)
 ref = solve_continuum_reference(p1, grid, TimeGrid(T=0.1, m_steps=256), f)
-m0, mT = norm_lp(ref.snapshots[0], 2), norm_lp(ref.snapshots[-1], 2)
+m0, mT = norm_lp(ref.snapshot(0), 2), norm_lp(ref.snapshot(-1), 2)
 print(f"relative drift over T=0.1: {abs(mT-m0)/m0:.2e}")
 
 print()
 print("=== snapshot round trip through the binary layout ===")
-blob = field_to_bytes(traj.snapshots[-1], t=float(traj.times[-1]))
+blob = field_to_bytes(traj.snapshot(-1), t=float(traj.times[-1]))
 back, t, _ = field_from_bytes(blob)
 print(f"record bytes: {len(blob)}; t = {t}; max |diff| = "
-      f"{np.abs(back.values - traj.snapshots[-1].values).max():.1e}")
+      f"{np.abs(back.values - traj.values[-1]).max():.1e}")

@@ -21,9 +21,11 @@ from .lattice import (
     NormReport,
     SpectralField,
     dft,
+    dft_rows,
     discretize,
     filter_pi,
     idft,
+    idft_rows,
     inject,
     interp_linear,
     interp_multiplier,

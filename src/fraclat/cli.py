@@ -254,13 +254,13 @@ def _run_solve(cfg: RunConfig, out_dir: Path) -> dict:
     traj = solve(params, grid, tg, f, tol=cfg.get("tol", 1e-10))
     wall = time.perf_counter() - t0
     blob = b"".join(
-        field_to_bytes(s, t=float(t)) for s, t in zip(traj.snapshots, traj.times)
+        field_to_bytes(traj.snapshot(i), t=float(t)) for i, t in enumerate(traj.times)
     )
     (out_dir / "trajectory.bin").write_bytes(blob)
     _write_csv(
         out_dir / "solve_data.csv",
         ["t", "l2_norm"],
-        [[float(t), norm_lp(s, 2)] for t, s in zip(traj.times, traj.snapshots)],
+        [[float(t), norm_lp(traj.snapshot(i), 2)] for i, t in enumerate(traj.times)],
     )
     return {
         "experiment": "solve",

@@ -20,6 +20,7 @@ import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,11 +29,12 @@ from .lattice import (
     LatticeGrid,
     dft,
     filter_pi,
+    idft_rows,
     interp_linear,
     lambda_norm,
     norm_lp,
     norm_smoothing,
-    norm_sobolev,
+    norm_sobolev,  # unused here; perfbench/tracer.py wraps it
 )
 from .solver import (
     ModelParams,
@@ -246,6 +248,9 @@ def run_symbol_checks(alpha_list, beta: float = 0.85, grid_points: int = 10_000,
 
 def grid_for(extent: float, h: float) -> LatticeGrid:
     """The lattice of mesh h spanning the given extent, which h must divide."""
+    for name, value in (("extent", extent), ("h", h)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"grid_for: {name} must be positive and finite, got {value}")
     n = int(round(extent / h))
     if abs(n * h - extent) > 1e-9 * extent:
         raise ValueError(f"extent {extent} is not an integer multiple of h = {h}")
@@ -303,14 +308,9 @@ def _phase_evolution(u0: LatticeField, params: ModelParams, times: np.ndarray) -
     grid = u0.grid
     wv = w_on_dft_grid(SymbolConfig(alpha=params.alpha), grid.n_points)
     phi = grid.h**-params.sigma * wv ** (1.0 / params.beta)
-    c0 = dft(u0).coeffs
-    snaps = []
-    for t in times:
-        ct = np.exp(-1j * t * phi) * c0
-        v = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(ct)))
-        snaps.append(LatticeField(grid=grid, values=v))
+    values = idft_rows(np.exp(-1j * times[:, None] * phi) * dft(u0).coeffs)
     tg = TimeGrid(T=float(times[-1]), m_steps=len(times) - 1)
-    return SolutionTrajectory(timegrid=tg, snapshots=snaps)
+    return SolutionTrajectory(timegrid=tg, grid=grid, values=values)
 
 
 def run_smoothing_experiment(
@@ -391,21 +391,15 @@ def _trajectory_errors(
     ref: SolutionTrajectory,
     params: ModelParams,
 ) -> tuple[float, float, float]:
-    """sup_t H^s, sup_t L^2 and Lambda_T distances on the reference grid."""
-    ref_grid = ref.snapshots[0].grid
-    diffs = []
-    for snap, rsnap in zip(traj.snapshots, ref.snapshots):
-        interp = interp_linear(snap, ref_grid)
-        diffs.append(LatticeField(grid=ref_grid, values=interp.values - rsnap.values))
-    err_s = max(norm_sobolev(d, params.s) for d in diffs)
-    err_l2 = max(norm_lp(d, 2) for d in diffs)
+    """sup_t H^s, sup_t L^2 and Lambda_T distances on the reference grid.
 
-    class _View:
-        times = traj.times
-        snapshots = diffs
-
-    err_lam = lambda_norm(_View(), params).lam
-    return err_s, err_l2, err_lam
+    The sup_t H^s distance is the energy part eta2 of Lambda_T.
+    """
+    fine = interp_linear(traj, ref.grid)
+    diff = SolutionTrajectory(timegrid=ref.timegrid, grid=ref.grid, values=fine.values - ref.values)
+    rep = lambda_norm(diff, params)
+    err_l2 = max(norm_lp(diff.snapshot(i), 2) for i in range(len(diff.times)))
+    return rep.eta2, err_l2, rep.lam
 
 
 def run_continuum_study(
@@ -442,11 +436,16 @@ def run_continuum_study(
                 grid = grid_for(extent, h)
                 return solve(params, grid, tg, f, nonlinear=not linear_only, tol=tol)
 
-            trajs = _fan_out(run_h, h_list, workers)
-            ref = solve_continuum_reference(
-                params, grid_for(extent, h_ref), tg, f,
-                nonlinear=not linear_only, tol=tol,
-            )
+            def run_ref() -> SolutionTrajectory:
+                return solve_continuum_reference(
+                    params, grid_for(extent, h_ref), tg, f,
+                    nonlinear=not linear_only, tol=tol,
+                )
+
+            # the reference, the longest solve, starts first and runs beside
+            # the h-sweep when workers > 1
+            jobs = [run_ref] + [partial(run_h, h) for h in h_list]
+            ref, *trajs = _fan_out(lambda job: job(), jobs, workers)
             all_ratios = [r for t in list(trajs) + [ref] for r in t.residual_ratios]
             if not linear_only and all_ratios and max(all_ratios) >= ratio_cap:
                 raise NonContractionError(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,14 +118,22 @@ class NormReport:
 # ---------------------------------------------------------------------------
 
 
+def dft_rows(values: np.ndarray) -> np.ndarray:
+    """DFT along the last (site) axis: one field, or every row of a (nodes, sites) array."""
+    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values, axes=-1), axis=-1), axes=-1)
+
+
+def idft_rows(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of dft_rows along the last (frequency) axis."""
+    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(coeffs, axes=-1), axis=-1), axes=-1)
+
+
 def dft(field: LatticeField) -> SpectralField:
-    c = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(field.values)))
-    return SpectralField(grid=field.grid, coeffs=c)
+    return SpectralField(grid=field.grid, coeffs=dft_rows(field.values))
 
 
 def idft(spec: SpectralField) -> LatticeField:
-    v = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(spec.coeffs)))
-    return LatticeField(grid=spec.grid, values=v)
+    return LatticeField(grid=spec.grid, values=idft_rows(spec.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +181,12 @@ def restrict(fine: LatticeField) -> LatticeField:
     return LatticeField(grid=coarse, values=fine.values[::2].copy())
 
 
-def interp_linear(field: LatticeField, query_grid: LatticeGrid) -> LatticeField:
-    """Piecewise-linear interpolation p_h u sampled on a nested finer grid."""
+def interp_linear(field, query_grid: LatticeGrid):
+    """Piecewise-linear interpolation p_h u sampled on a nested finer grid.
+
+    ``field`` is a LatticeField, or a SolutionTrajectory whose nodes are
+    all interpolated at once; the result is of the same type on query_grid.
+    """
     h, qh = field.grid.h, query_grid.h
     ratio = h / qh
     r = int(round(ratio))
@@ -183,10 +195,10 @@ def interp_linear(field: LatticeField, query_grid: LatticeGrid) -> LatticeField:
     if query_grid.n_points != r * field.grid.n_points:
         raise GridMismatchError("query grid extent does not match the field grid")
     u = field.values
-    slope = np.roll(u, -1) - u  # forward difference times h
+    slope = np.roll(u, -1, axis=-1) - u  # forward difference times h
     frac = np.arange(r) / r
-    out = (u[:, None] + slope[:, None] * frac[None, :]).reshape(-1)
-    return LatticeField(grid=query_grid, values=out)
+    out = (u[..., :, None] + slope[..., :, None] * frac).reshape(*u.shape[:-1], -1)
+    return replace(field, grid=query_grid, values=out)
 
 
 def interp_multiplier(h: float, xi):
@@ -226,14 +238,16 @@ def norm_lp(field: LatticeField, p) -> float:
     return float((field.grid.h * np.sum(a**p)) ** (1.0 / p))
 
 
+def _sobolev_squares(coeffs: np.ndarray, grid: LatticeGrid, s: float) -> np.ndarray:
+    """Squared H^s_h norms from DFT coefficients, one per row."""
+    xi = grid.freqs()
+    weight = 1.0 + (np.abs(xi) / grid.h) ** (2.0 * s) if s != 0.0 else np.ones_like(xi)
+    return grid.h / grid.n_points * np.sum(weight * np.abs(coeffs) ** 2, axis=-1)
+
+
 def norm_sobolev(field: LatticeField, s: float) -> float:
     """H^s_h norm: quadrature of (1 + h^{-2s} |xi|^{2s}) |u_hat|^2."""
-    g = field.grid
-    c = dft(field).coeffs
-    xi = g.freqs()
-    weight = 1.0 + (np.abs(xi) / g.h) ** (2.0 * s) if s != 0.0 else np.ones_like(xi)
-    val = g.h / g.n_points * np.sum(weight * np.abs(c) ** 2)
-    return float(math.sqrt(val))
+    return float(math.sqrt(_sobolev_squares(dft_rows(field.values), field.grid, s)))
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -244,41 +258,38 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def norm_smoothing(traj, delta: float) -> float:
-    """|| <h^{-1} grad>^delta u ||_{L^inf_h L^2_T}.
+def _smoothing(coeffs: np.ndarray, grid: LatticeGrid, times: np.ndarray, delta: float) -> float:
+    """norm_smoothing from the (nodes, sites) DFT coefficients of a trajectory."""
+    mult = (1.0 + np.abs(grid.freqs()) / grid.h) ** delta
+    v = idft_rows(coeffs * mult)
+    tw = _trapezoid_weights(np.asarray(times, dtype=float))
+    return float(np.sqrt(np.sum(tw[:, None] * np.abs(v) ** 2, axis=0).max()))
 
-    Per snapshot the spectral multiplier (1 + |xi|/h)^delta is applied,
+
+def norm_smoothing(traj, delta: float) -> float:
+    """|| <h^{-1} grad>^delta u ||_{L^inf_h L^2_T} of a SolutionTrajectory.
+
+    Per node the spectral multiplier (1 + |xi|/h)^delta is applied,
     then the time-L^2 per site (trapezoid rule), then the sup over sites.
     """
-    times = np.asarray(traj.times, dtype=float)
-    tw = _trapezoid_weights(times)
-    acc = None
-    for w_t, snap in zip(tw, traj.snapshots):
-        g = snap.grid
-        mult = (1.0 + np.abs(g.freqs()) / g.h) ** delta
-        v = idft(SpectralField(grid=g, coeffs=dft(snap).coeffs * mult)).values
-        a = w_t * np.abs(v) ** 2
-        acc = a if acc is None else acc + a
-    return float(np.sqrt(acc.max())) if acc is not None else 0.0
+    return _smoothing(dft_rows(traj.values), traj.grid, traj.times, delta)
 
 
 def norm_maximal(traj, q: float) -> float:
-    """|| u ||_{L^q_h L^inf_T}: per-site sup over time, then spatial L^q_h."""
-    sup = None
-    grid = None
-    for snap in traj.snapshots:
-        a = np.abs(snap.values)
-        sup = a if sup is None else np.maximum(sup, a)
-        grid = snap.grid
-    if sup is None:
-        return 0.0
-    return norm_lp(LatticeField(grid=grid, values=sup.astype(np.complex128)), q)
+    """|| u ||_{L^q_h L^inf_T} of a SolutionTrajectory: per-site sup over time, then L^q_h."""
+    sup = np.abs(traj.values).max(axis=0)
+    return norm_lp(LatticeField(grid=traj.grid, values=sup.astype(np.complex128)), q)
 
 
 def lambda_norm(traj, params) -> NormReport:
-    """Contraction norm: eta1 smoothing (exponent s+sigma-alpha), eta2 energy, eta3 maximal."""
-    eta1 = norm_smoothing(traj, params.s + params.sigma - params.alpha)
-    eta2 = max((norm_sobolev(snap, params.s) for snap in traj.snapshots), default=0.0)
+    """Contraction norm of a SolutionTrajectory.
+
+    eta1 smoothing (exponent s+sigma-alpha), eta2 energy sup_t H^s,
+    eta3 maximal; one batched DFT of the nodes serves eta1 and eta2.
+    """
+    coeffs = dft_rows(traj.values)
+    eta1 = _smoothing(coeffs, traj.grid, traj.times, params.s + params.sigma - params.alpha)
+    eta2 = float(np.sqrt(_sobolev_squares(coeffs, traj.grid, params.s).max()))
     eta3 = norm_maximal(traj, 2.0 * (params.p - 1))
     return NormReport(eta1=eta1, eta2=eta2, eta3=eta3)
 

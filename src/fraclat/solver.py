@@ -13,13 +13,20 @@ kernel is integrated exactly per interval by Gauss rules (Gauss-Jacobi
 with weight (t-s)^{b-1} on the interval touching the singularity,
 Gauss-Legendre elsewhere).  On a uniform grid the weights depend on the
 lag n-j only, so the memory sum is a causal convolution, evaluated by
-FFT along the time axis for all modes at once.
+FFT along the time axis for all modes at once.  The two weight families
+fold into one kernel C[m] = A[m-1] + B[m] whose spectrum is computed
+once per solve, so a Picard sweep costs one forward and one inverse FFT
+(Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  The
+multiplier is even, mu(xi) = mu(-xi), so the Mittag-Leffler tables are
+evaluated once per distinct mu (once per +-xi pair) and gathered to
+every mode.
 
 The fixed point is produced by Picard iteration over the whole time
 interval, mirroring the contraction construction behind the
 well-posedness theory; the residual is measured in the contraction norm
-Lambda_T.  The continuum reference solver is the identical pipeline with
-the multiplier |xi|^alpha and no filtering.
+Lambda_T.  An iterate that stops being finite raises NonContractionError
+like a growing residual does.  The continuum reference solver is the
+identical pipeline with the multiplier |xi|^alpha and no filtering.
 """
 
 from __future__ import annotations
@@ -37,9 +44,11 @@ from .lattice import (
     LatticeField,
     LatticeGrid,
     SpectralField,
+    dft_rows,
     discretize,
     filter_pi,
     idft,
+    idft_rows,
     lambda_norm,
     restrict,
 )
@@ -99,7 +108,7 @@ class ModelParams:
         s_min = 0.5 - 0.5 / (self.p - 1)
         if self.s is None:
             object.__setattr__(self, "s", s_min)
-        if self.s < s_min - 1e-12:
+        if not (math.isfinite(self.s) and self.s >= s_min - 1e-12):
             raise ParameterError(
                 f"s >= 1/2 - 1/(2(p-1)) fails: {self.s:g} < {s_min:g}"
             )
@@ -157,15 +166,31 @@ class TimeGrid:
 
 @dataclass
 class SolutionTrajectory:
-    """Snapshots on the time grid plus Picard diagnostics."""
+    """Values at every node of the time grid plus Picard diagnostics.
+
+    ``values`` has shape (m_steps + 1, n_points): row i is the field at
+    time node t_i on ``grid``.
+    """
 
     timegrid: TimeGrid
-    snapshots: list[LatticeField]
+    grid: LatticeGrid
+    values: np.ndarray
     residuals: list[float] = dc_field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.values, dtype=np.complex128)
+        shape = (self.timegrid.m_steps + 1, self.grid.n_points)
+        if v.shape != shape:
+            raise GridMismatchError(f"trajectory values {v.shape} do not match (nodes, sites) {shape}")
+        self.values = v
 
     @property
     def times(self) -> np.ndarray:
         return self.timegrid.times
+
+    def snapshot(self, i: int) -> LatticeField:
+        """The field at time node i."""
+        return LatticeField(grid=self.grid, values=self.values[i])
 
     @property
     def residual_ratios(self) -> list[float]:
@@ -195,18 +220,21 @@ class SymbolTable:
         else:
             self.mu = (np.abs(grid.freqs()) / grid.h) ** params.alpha
         self.mu[grid.n_points // 2] = 0.0  # zero mode exactly
+        # mu(xi) = mu(-xi): tables are evaluated on the distinct values only
+        # (one per +-xi pair) and gathered back to the modes by mode_index
+        self.distinct_mu, self.mode_index = np.unique(self.mu, return_inverse=True)
 
     def propagator_multiplier(self, t: float) -> np.ndarray:
         """E_beta(i^{-beta} t^beta mu) for every mode."""
-        z = self.params.phase_unit * (t ** self.params.beta) * self.mu.astype(np.complex128)
-        return ml_e_grid(self.params.beta, z, tol=self.ml_tol)
+        z = self.params.phase_unit * (t ** self.params.beta) * self.distinct_mu.astype(np.complex128)
+        return ml_e_grid(self.params.beta, z, tol=self.ml_tol)[self.mode_index]
 
     def propagator_table(self, timegrid: TimeGrid) -> np.ndarray:
         """(m_steps+1, n_points) multipliers across all time nodes."""
         b = self.params.beta
         tpow = timegrid.times**b
-        z = self.params.phase_unit * np.multiply.outer(tpow, self.mu).astype(np.complex128)
-        return ml_e_grid(b, z, tol=self.ml_tol)
+        z = self.params.phase_unit * np.multiply.outer(tpow, self.distinct_mu).astype(np.complex128)
+        return ml_e_grid(b, z, tol=self.ml_tol)[:, self.mode_index]
 
     def duhamel_tables(self, timegrid: TimeGrid, mode_chunk: int = 512) -> tuple[np.ndarray, np.ndarray]:
         """Product-integration weights A, B of shape (m_steps, n_points).
@@ -215,7 +243,8 @@ class SymbolTable:
         the linear density over [t_j, t_{j+1}] with t_n - t_j = l dt is
         A[l-1]*g(t_j) + B[l-1]*g(t_{j+1}).
         """
-        return _duhamel_weight_tables(timegrid, self.mu, self.params, self.ml_tol, mode_chunk)
+        A, B = _duhamel_weight_tables(timegrid, self.distinct_mu, self.params, self.ml_tol, mode_chunk)
+        return A[:, self.mode_index], B[:, self.mode_index]
 
 
 def _duhamel_nodes(timegrid: TimeGrid, beta: float, n_nodes: int = 8):
@@ -332,44 +361,34 @@ def _batch_nonlinearity(U: np.ndarray, params: ModelParams) -> np.ndarray:
     return G
 
 
-def _batch_dft(V: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(V, axes=1), axis=1), axes=1)
+class _FoldedKernel:
+    """The causal product-integration sum as one convolution, kernel transformed once.
 
-
-def _batch_idft(C: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(C, axes=1), axis=1), axes=1)
-
-
-def _memory_convolution(A: np.ndarray, B: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Causal product-integration sum D[n] = sum_{l=1..n} A[l] G[n-l] + B[l] G[n-l+1].
-
-    The B part is convolved against the shifted density G[1:], which keeps
-    the sum strictly causal (no phantom interval left of t_0).
+    D[n] = sum_{l=1..n} A[l-1] G[n-l] + B[l-1] G[n-l+1] collects, per source
+    node k, the weight C[n-k] with C[m] = A[m-1] + B[m] (A[-1] = B[M] = 0),
+    except that the B part has no interval left of t_0: the k = 0 term
+    carries A only.  Hence D[n] = (C * G)[n] - B[n] G[0].
     """
-    M, K = A.shape
-    P = sfft.next_fast_len(2 * M + 2)
-    Apad = np.zeros((P, K), dtype=np.complex128)
-    Bpad = np.zeros((P, K), dtype=np.complex128)
-    Apad[1 : M + 1] = A
-    Bpad[1 : M + 1] = B
-    Gpad = np.zeros((P, K), dtype=np.complex128)
-    Gpad[: M + 1] = G
-    Gpad2 = np.zeros((P, K), dtype=np.complex128)
-    Gpad2[:M] = G[1:]
-    ca = sfft.ifft(sfft.fft(Apad, axis=0) * sfft.fft(Gpad, axis=0), axis=0)
-    cb = sfft.ifft(sfft.fft(Bpad, axis=0) * sfft.fft(Gpad2, axis=0), axis=0)
-    D = np.empty((M + 1, K), dtype=np.complex128)
-    D[0] = 0.0
-    D[1:] = ca[1 : M + 1] + cb[1 : M + 1]
-    return D
 
+    def __init__(self, A: np.ndarray, B: np.ndarray):
+        M, K = A.shape
+        # P >= 2M keeps rows 1..M free of wrap-around; row 0 is set, not read
+        self.size = sfft.next_fast_len(2 * M)
+        C = np.zeros((self.size, K), dtype=np.complex128)
+        C[:M] = B
+        C[1 : M + 1] += A
+        self.spectrum = sfft.fft(C, axis=0, overwrite_x=True)
+        self.B = B
 
-class _ArrayTrajectory:
-    """Duck-typed trajectory view over a (nodes, sites) array for the norms."""
-
-    def __init__(self, times: np.ndarray, U: np.ndarray, grid: LatticeGrid):
-        self.times = times
-        self.snapshots = [LatticeField(grid=grid, values=U[i]) for i in range(U.shape[0])]
+    def convolve(self, G: np.ndarray) -> np.ndarray:
+        """D of shape (M+1, K) for the density G of shape (M+1, K); D[0] = 0."""
+        M = self.B.shape[0]
+        X = sfft.fft(G, n=self.size, axis=0)
+        X *= self.spectrum
+        D = sfft.ifft(X, axis=0, overwrite_x=True)[: M + 1]
+        D[0] = 0.0
+        D[1:M] -= self.B[1:] * G[0]
+        return D
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +417,10 @@ def solve(
     nonlinear=False it makes the density u-independent (manufactured
     time-refinement studies) and the fixed point is reached in one sweep.
 
-    Raises NonContractionError when residuals fail to decrease on three
-    consecutive sweeps, the signal that T exceeds the contraction horizon.
+    Raises ValueError for an initial field that is not finite, and
+    NonContractionError when an iterate stops being finite or residuals
+    fail to decrease on three consecutive sweeps: the signal that T
+    exceeds the contraction horizon.
     """
     if initial_field is not None:
         if not initial_field.grid.compatible(grid):
@@ -409,54 +430,58 @@ def solve(
         u0 = discretize(f, grid)
     else:
         u0 = prepare_initial(f, grid, params.use_filter)
+    bad = np.flatnonzero(~np.isfinite(u0.values))
+    if bad.size:
+        raise ValueError(
+            f"solve: the initial field is not finite at {bad.size} of {grid.n_points} "
+            f"sites (site {bad[0]} holds {u0.values[bad[0]]})"
+        )
+
+    def trajectory(U: np.ndarray, residuals: list[float] | None = None) -> SolutionTrajectory:
+        return SolutionTrajectory(timegrid=timegrid, grid=grid, values=U, residuals=residuals or [])
 
     table = SymbolTable(grid, params, kind=symbol_source, ml_tol=ml_tol)
-    n_nodes = timegrid.m_steps + 1
-    times = timegrid.times
-
-    u0_hat = _batch_dft(u0.values[None, :])[0]
-    LIN = table.propagator_table(timegrid) * u0_hat[None, :]
-    lin_phys = _batch_idft(LIN)
+    LIN = table.propagator_table(timegrid) * dft_rows(u0.values)
+    lin_phys = idft_rows(LIN)
     lin_phys[0] = u0.values  # t = 0 multiplier is exactly 1
 
     # the continuum reference carries no lattice filter in its nonlinearity
     run_params = replace(params, use_filter=False) if symbol_source == "continuum" else params
 
-    def finish(U: np.ndarray, residuals: list[float]) -> SolutionTrajectory:
-        snaps = [LatticeField(grid=grid, values=U[i].copy()) for i in range(n_nodes)]
-        return SolutionTrajectory(timegrid=timegrid, snapshots=snaps, residuals=residuals)
-
     if not nonlinear and forcing is None:
-        return finish(lin_phys, [])
+        return trajectory(lin_phys)
 
-    A, B = table.duhamel_tables(timegrid)
+    kernel = _FoldedKernel(*table.duhamel_tables(timegrid))
     unit = params.phase_unit
 
     force_hat = None
     if forcing is not None:
-        F = np.stack([np.asarray(forcing(t), dtype=np.complex128) for t in times])
-        force_hat = _batch_dft(F)
+        F = np.stack([np.asarray(forcing(t), dtype=np.complex128) for t in timegrid.times])
+        force_hat = dft_rows(F)
 
-    U = lin_phys.copy()
+    U = lin_phys
     residuals: list[float] = []
     first_norm = None
     bad_streak = 0
-    for sweep in range(k_max):
+    for sweep in range(1, k_max + 1):
         if nonlinear:
-            G = _batch_nonlinearity(U, run_params)
-            G_hat = _batch_dft(G)
+            G_hat = dft_rows(_batch_nonlinearity(U, run_params))
             if force_hat is not None:
-                G_hat = G_hat + force_hat
+                G_hat += force_hat
         else:
             G_hat = force_hat
-        D = _memory_convolution(A, B, G_hat)
-        U_new = _batch_idft(LIN + unit * D)
+        U_new = idft_rows(LIN + unit * kernel.convolve(G_hat))
         U_new[0] = u0.values  # D[0] = 0: node 0 is the datum, kept exact
-        diff = _ArrayTrajectory(times, U_new - U, grid)
-        res = lambda_norm(diff, params).lam
+        if not np.isfinite(U_new).all():
+            raise NonContractionError(
+                f"Picard sweep {sweep} produced a non-finite iterate; "
+                f"shrink the horizon T = {timegrid.T:g}",
+                residuals,
+            )
+        res = lambda_norm(trajectory(U_new - U), params).lam
         residuals.append(res)
         if first_norm is None:
-            first_norm = lambda_norm(_ArrayTrajectory(times, U_new, grid), params).lam
+            first_norm = lambda_norm(trajectory(U_new), params).lam
         U = U_new
         if forcing is not None and not nonlinear:
             break  # u-independent source: fixed point after one sweep
@@ -474,7 +499,7 @@ def solve(
             bad_streak = 0
     # exhausting k_max with decreasing residuals is a legitimate exit: the
     # caller reads the quality off the residual history
-    return finish(U, residuals)
+    return trajectory(U, residuals)
 
 
 def solve_continuum_reference(

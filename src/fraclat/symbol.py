@@ -153,8 +153,8 @@ def phi_eval(cfg: SymbolConfig, h: float, xi, beta: float | None = None):
     b = beta if beta is not None else cfg.beta
     if b is None:
         raise ValueError("phi_eval: beta required (set SymbolConfig.beta or pass beta=)")
-    if h <= 0.0:
-        raise ValueError("phi_eval: h must be positive")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"phi_eval: h must be positive and finite, got {h}")
     sigma = cfg.alpha / b
     w = w_eval(cfg, xi)
     return h**-sigma * np.asarray(w) ** (1.0 / b) if not np.isscalar(w) else h**-sigma * w ** (1.0 / b)

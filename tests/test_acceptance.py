@@ -139,7 +139,7 @@ def test_criterion_2_beta_one_degeneration():
     traj = solve(params, grid, TimeGrid(T=T, m_steps=1024), gauss())
     u0 = prepare_initial(gauss(), grid, True)
     u_ref = _etd_rk2_reference(params, grid, T, 2e-5, u0)
-    diff = traj.snapshots[-1].values - u_ref
+    diff = traj.values[-1] - u_ref
     l2 = math.sqrt(grid.h * float(np.sum(np.abs(diff) ** 2)))
     elapsed = time.perf_counter() - t0
     ok = worst_exp <= 1e-12 and l2 <= 1e-6 and elapsed < 60.0
@@ -379,7 +379,7 @@ def test_criterion_10_picard_contraction(nonlinear_study):
             nonlinear=False,
             forcing=lambda t: (t**params.beta) * psi,
         )
-        finals[M] = tr.snapshots[-1].values
+        finals[M] = tr.values[-1]
     errs = [
         (0.5 / M, math.sqrt(grid.h * float(np.sum(np.abs(finals[M] - finals[512]) ** 2))))
         for M in (32, 64, 128, 256)

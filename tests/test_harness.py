@@ -8,6 +8,7 @@ import pytest
 from fraclat.harness import (
     fit_order,
     gaussian_profile,
+    grid_for,
     nyquist_packet,
     run_continuum_study,
     run_mass_uniformity,
@@ -161,6 +162,21 @@ class TestContinuumStudy:
             run_continuum_study(params, [0.4, 0.2], 0.2, gauss, extent=12.8)
 
 
+class TestGridFor:
+    def test_grid_spans_extent(self):
+        g = grid_for(51.2, 0.1)
+        assert g.n_points == 512 and g.h == 0.1
+
+    @pytest.mark.parametrize("extent,h,name", [
+        (51.2, math.nan, "h"), (51.2, math.inf, "h"), (51.2, 0.0, "h"),
+        (math.nan, 0.1, "extent"), (-1.0, 0.1, "extent"),
+    ])
+    def test_bad_values_named(self, extent, h, name):
+        value = h if name == "h" else extent
+        with pytest.raises(ValueError, match=rf"grid_for: {name} must be positive and finite, got {value}"):
+            grid_for(extent, h)
+
+
 class TestMlCheckReport:
     def test_small_sweep(self):
         rep = run_ml_check(betas=(0.8,), n_radii=9, r_max=30.0)
@@ -177,3 +193,13 @@ class TestWorkers:
                                  n_times=8, workers=2)
         for a, b in zip(r1["entries"], r2["entries"]):
             assert a["ratio"] == b["ratio"]
+
+    def test_continuum_study_matches_serial(self):
+        # workers = 2 runs the reference beside the h-sweep; the report is
+        # the serial one, value for value
+        params = ModelParams(alpha=1.5, beta=0.85)
+        kw = dict(extent=12.8, T=0.4, m_steps=16)
+        serial = run_continuum_study(params, [0.4, 0.2, 0.1], 0.025, gauss, workers=1, **kw)
+        threaded = run_continuum_study(params, [0.4, 0.2, 0.1], 0.025, gauss, workers=2, **kw)
+        assert threaded == serial
+        assert len(serial["ref_residuals"]) >= 3

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from fraclat.lattice import (
     GridMismatchError,
     LatticeField,
     LatticeGrid,
+    SpectralField,
     dft,
     discretize,
     field_from_bytes,
@@ -208,6 +210,17 @@ class TestInterpolation:
         direct = interp_linear(f2, query)
         assert np.abs(via_filter.values - direct.values).max() < 1e-13
 
+    def test_trajectory_interpolates_every_node(self):
+        g = LatticeGrid(h=0.5, n_points=16)
+        query = LatticeGrid(h=0.125, n_points=64)
+        snaps = [random_field(g, seed) for seed in (1, 2, 3)]
+        traj = SolutionTrajectory(timegrid=TimeGrid(T=1.0, m_steps=2), grid=g,
+                                  values=np.stack([u.values for u in snaps]))
+        fine = interp_linear(traj, query)
+        assert isinstance(fine, SolutionTrajectory) and fine.grid == query
+        for i, u in enumerate(snaps):
+            assert np.array_equal(fine.values[i], interp_linear(u, query).values)
+
     def test_non_nested_grid_rejected(self):
         g = LatticeGrid(h=0.5, n_points=16)
         with pytest.raises(GridMismatchError):
@@ -335,7 +348,7 @@ class TestNorms:
 
 def _static_traj(field, T, nodes):
     tg = TimeGrid(T=T, m_steps=nodes - 1)
-    return SolutionTrajectory(timegrid=tg, snapshots=[field] * nodes)
+    return SolutionTrajectory(timegrid=tg, grid=field.grid, values=np.tile(field.values, (nodes, 1)))
 
 
 class TestMixedNorms:
@@ -358,11 +371,8 @@ class TestMixedNorms:
         xi = g.freqs()[16 + k]
         m = np.arange(32) - 16
         tg = TimeGrid(T=T, m_steps=16)
-        snaps = [
-            LatticeField(grid=g, values=amp * np.exp(1j * (xi * m - 3.0 * t)))
-            for t in tg.times
-        ]
-        traj = SolutionTrajectory(timegrid=tg, snapshots=snaps)
+        values = amp * np.exp(1j * (xi * m - 3.0 * tg.times[:, None]))
+        traj = SolutionTrajectory(timegrid=tg, grid=g, values=values)
         expected = math.sqrt(T) * (1.0 + abs(xi) / g.h) ** delta * amp
         assert norm_smoothing(traj, delta) == pytest.approx(expected, rel=1e-12)
 
@@ -378,7 +388,7 @@ class TestMixedNorms:
         u = random_field(g, 12)
         two = LatticeField(grid=g, values=2.0 * u.values)
         tg = TimeGrid(T=1.0, m_steps=2)
-        traj = SolutionTrajectory(timegrid=tg, snapshots=[u, two, u])
+        traj = SolutionTrajectory(timegrid=tg, grid=g, values=np.stack([u.values, two.values, u.values]))
         assert norm_maximal(traj, 4.0) == pytest.approx(2.0 * norm_lp(u, 4.0), rel=1e-12)
 
     def test_lambda_zero(self):
@@ -410,6 +420,51 @@ class TestMixedNorms:
         assert r2.eta1 == pytest.approx(2 * r1.eta1, rel=1e-12)
         assert r2.eta2 == pytest.approx(2 * r1.eta2, rel=1e-12)
         assert r2.eta3 == pytest.approx(2 * r1.eta3, rel=1e-12)
+
+
+def _norms_per_snapshot(traj, params):
+    """Reference loop for the batched norms: one transform pair per node."""
+    g = traj.grid
+    dt = np.diff(traj.times)
+    tw = np.concatenate([[0.5 * dt[0]], 0.5 * (dt[:-1] + dt[1:]), [0.5 * dt[-1]]])
+    mult = (1.0 + np.abs(g.freqs()) / g.h) ** (params.s + params.sigma - params.alpha)
+    acc = np.zeros(g.n_points)
+    sup = np.zeros(g.n_points)
+    eta2 = 0.0
+    for w_t, row in zip(tw, traj.values):
+        snap = LatticeField(grid=g, values=row)
+        v = idft(SpectralField(grid=g, coeffs=dft(snap).coeffs * mult)).values
+        acc += w_t * np.abs(v) ** 2
+        sup = np.maximum(sup, np.abs(row))
+        eta2 = max(eta2, norm_sobolev(snap, params.s))
+    eta3 = norm_lp(LatticeField(grid=g, values=sup), 2.0 * (params.p - 1))
+    return math.sqrt(acc.max()), eta2, eta3
+
+
+class TestBatchedNorms:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.sampled_from([8, 16, 32, 64]),
+        nodes=st.integers(3, 12),
+        h=st.floats(0.05, 1.0),
+        T=st.floats(0.1, 3.0),
+        ab=st.sampled_from([(1.5, 0.85), (1.3, 0.95), (1.7, 0.9), (1.9, 1.0)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batched_norms_match_per_snapshot_loop(self, n, nodes, h, T, ab, seed):
+        params = ModelParams(alpha=ab[0], beta=ab[1])
+        g = LatticeGrid(h=h, n_points=n)
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(nodes, n)) + 1j * rng.normal(size=(nodes, n))
+        traj = SolutionTrajectory(timegrid=TimeGrid(T=T, m_steps=nodes - 1), grid=g, values=values)
+        eta1, eta2, eta3 = _norms_per_snapshot(traj, params)
+        rep = lambda_norm(traj, params)
+        delta = params.s + params.sigma - params.alpha
+        assert norm_smoothing(traj, delta) == pytest.approx(eta1, rel=1e-12)
+        assert norm_maximal(traj, 2.0 * (params.p - 1)) == pytest.approx(eta3, rel=1e-12)
+        assert rep.eta1 == pytest.approx(eta1, rel=1e-12)
+        assert rep.eta2 == pytest.approx(eta2, rel=1e-12)
+        assert rep.eta3 == pytest.approx(eta3, rel=1e-12)
 
 
 class TestSerialization:

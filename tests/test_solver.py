@@ -27,7 +27,7 @@ from fraclat.solver import (
     solve,
     solve_continuum_reference,
 )
-from fraclat.solver import _batch_nonlinearity, _memory_convolution
+from fraclat.solver import _FoldedKernel, _batch_nonlinearity
 
 
 def gauss(x):
@@ -68,6 +68,9 @@ class TestModelParams:
     def test_s_condition(self):
         with pytest.raises(ParameterError, match=r"s >= 1/2 - 1/\(2\(p-1\)\)"):
             ModelParams(alpha=1.5, beta=0.85, s=0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match=rf"s >= .* fails: {bad:g} <"):
+                ModelParams(alpha=1.5, beta=0.85, s=bad)
 
     def test_delta_window(self):
         p = ModelParams(alpha=1.5, beta=0.85)
@@ -161,17 +164,25 @@ class TestDuhamelWeights:
             duhamel_weights(TimeGrid(T=1.0, m_steps=4), -1.0, params)
 
     def test_convolution_matches_direct_sum(self):
+        # the folded kernel against the O(M^2) double sum; a large G[0] makes
+        # the B[n] G[0] correction visible, from n = 1 to n = M
         rng = np.random.default_rng(0)
-        M, K = 12, 5
-        A = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
-        B = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
-        G = rng.normal(size=(M + 1, K)) + 1j * rng.normal(size=(M + 1, K))
-        D = _memory_convolution(A, B, G)
-        ref = np.zeros_like(D)
-        for n in range(1, M + 1):
-            for l in range(1, n + 1):
-                ref[n] += A[l - 1] * G[n - l] + B[l - 1] * G[n - l + 1]
-        assert np.abs(D - ref).max() < 1e-12
+        K = 5
+        for M in (1, 2, 12, 13):
+            A = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
+            B = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
+            G = rng.normal(size=(M + 1, K)) + 1j * rng.normal(size=(M + 1, K))
+            G[0] *= 100.0
+            D = _FoldedKernel(A, B).convolve(G)
+            ref = np.zeros_like(D)
+            for n in range(1, M + 1):
+                for l in range(1, n + 1):
+                    ref[n] += A[l - 1] * G[n - l] + B[l - 1] * G[n - l + 1]
+            assert D.shape == (M + 1, K)
+            assert np.all(D[0] == 0.0)
+            for n in (1, M):
+                assert np.abs(D[n] - ref[n]).max() < 1e-12 * np.abs(ref[n]).max()
+            assert np.abs(D - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 class TestSymbolTable:
@@ -195,6 +206,35 @@ class TestSymbolTable:
         mid = (np.abs(xi) > 0.2) & (np.abs(xi) < 0.4)
         assert dev[lowest].max() < 0.10
         assert dev[lowest].max() < dev[mid].min()  # gap closes as xi -> 0
+
+    @pytest.mark.parametrize("kind", ["lattice", "continuum"])
+    def test_mu_even_in_xi(self, kind):
+        for n in (256, 512, 1024, 4096):
+            grid = LatticeGrid(h=51.2 / n, n_points=n)
+            tab = SymbolTable(grid, ModelParams(alpha=1.5, beta=0.85), kind=kind)
+            k = np.arange(1, n // 2)
+            assert np.array_equal(tab.mu[n // 2 + k], tab.mu[n // 2 - k])
+            assert tab.distinct_mu.size == n // 2 + 1
+            assert np.array_equal(tab.distinct_mu[tab.mode_index], tab.mu)
+
+    @pytest.mark.parametrize("kind", ["lattice", "continuum"])
+    def test_pair_tables_match_full_mode_evaluation(self, kind):
+        from fraclat.solver import _duhamel_weight_tables
+        from fraclat.special import ml_e_grid
+
+        params = ModelParams(alpha=1.5, beta=0.85)
+        grid = LatticeGrid(h=0.2, n_points=128)
+        tg = TimeGrid(T=0.4, m_steps=16)
+        tab = SymbolTable(grid, params, kind=kind)
+        z = params.phase_unit * np.multiply.outer(tg.times**params.beta, tab.mu)
+        full = ml_e_grid(params.beta, z.astype(complex), tol=tab.ml_tol)
+        prop = tab.propagator_table(tg)
+        assert np.abs(prop - full).max() <= tab.ml_tol * np.abs(full).max()
+        assert np.abs(tab.propagator_multiplier(float(tg.times[5])) - full[5]).max() <= tab.ml_tol
+        A_full, B_full = _duhamel_weight_tables(tg, tab.mu, params, tab.ml_tol, 512)
+        A, B = tab.duhamel_tables(tg)
+        for got, ref in ((A, A_full), (B, B_full)):
+            assert np.abs(got - ref).max() <= tab.ml_tol * np.abs(ref).max()
 
 
 class TestPrepareInitial:
@@ -306,14 +346,14 @@ class TestSolve:
         params = ModelParams(alpha=1.5, beta=0.85)
         grid = LatticeGrid(h=0.2, n_points=64)
         traj = solve(params, grid, TimeGrid(T=0.3, m_steps=16), zeros)
-        assert max(np.abs(s.values).max() for s in traj.snapshots) == 0.0
+        assert np.abs(traj.values).max() == 0.0
 
     def test_snapshot_zero_is_initial_datum(self):
         params = ModelParams(alpha=1.5, beta=0.85)
         grid = LatticeGrid(h=0.2, n_points=64)
         traj = solve(params, grid, TimeGrid(T=0.3, m_steps=16), gauss)
         u0 = prepare_initial(gauss, grid, True)
-        assert np.array_equal(traj.snapshots[0].values, u0.values)
+        assert np.array_equal(traj.values[0], u0.values)
 
     def test_nonlinearity_off_equals_linear_propagator(self):
         params = ModelParams(alpha=1.5, beta=0.85)
@@ -324,7 +364,7 @@ class TestSolve:
         u0_hat = dft(prepare_initial(gauss, grid, True))
         for i in (3, 16):
             ref = linear_propagate(u0_hat, float(tg.times[i]), tab, params)
-            assert np.abs(traj.snapshots[i].values - ref.values).max() < 1e-10
+            assert np.abs(traj.values[i] - ref.values).max() < 1e-10
 
     def test_contraction_ratios(self):
         # defocusing cubic, Gaussian data: geometric residual decay, ratio < 0.5
@@ -354,6 +394,30 @@ class TestSolve:
             worst[T] = max(traj.residual_ratios[:3])  # early sweeps set the rate
         assert worst[0.2] < worst[0.4] < worst[0.8] < 1.0
 
+    def test_non_finite_initial_field_rejected(self):
+        params = ModelParams(alpha=1.5, beta=0.85)
+        grid = LatticeGrid(h=0.2, n_points=64)
+        u0 = prepare_initial(gauss, grid, True)
+        values = u0.values.copy()
+        values[7] = np.nan
+        bad = LatticeField(grid=grid, values=values)
+        with pytest.raises(ValueError, match=r"initial field is not finite.*site 7 holds \(?nan"):
+            solve(params, grid, TimeGrid(T=0.3, m_steps=16), None, initial_field=bad)
+
+    def test_non_finite_iterate_raises_typed_error(self):
+        # a forcing that turns non-finite at the last node poisons the first
+        # iterate; the sweep stops with NonContractionError, never a NaN result
+        params = ModelParams(alpha=1.5, beta=0.85)
+        grid = LatticeGrid(h=0.2, n_points=64)
+        tg = TimeGrid(T=0.3, m_steps=16)
+
+        def forcing(t):
+            return np.full(grid.n_points, np.nan if t == tg.T else 0.0, dtype=complex)
+
+        with pytest.raises(NonContractionError, match="sweep 1 produced a non-finite iterate") as exc:
+            solve(params, grid, tg, gauss, forcing=forcing)
+        assert exc.value.residuals == []
+
     def test_k_max_exhaustion_is_normal_exit(self):
         params = ModelParams(alpha=1.5, beta=0.85, sign=1)
         grid = LatticeGrid(h=0.2, n_points=64)
@@ -380,7 +444,7 @@ class TestSolve:
         for M in (32, 64, 128, 256, 512):
             tr = solve(params, grid, TimeGrid(T=0.5, m_steps=M), gauss,
                        nonlinear=False, forcing=forcing)
-            finals[M] = tr.snapshots[-1].values
+            finals[M] = tr.values[-1]
         errs = [
             (0.5 / M, math.sqrt(grid.h * np.sum(np.abs(finals[M] - finals[512]) ** 2)))
             for M in (32, 64, 128, 256)
@@ -412,11 +476,11 @@ class TestContinuumReference:
         traj = solve_continuum_reference(params, grid, tg, gauss, nonlinear=False)
         from fraclat.special import ml_e_grid
 
-        u0_hat = dft(LatticeField(grid=grid, values=traj.snapshots[0].values)).coeffs
+        u0_hat = dft(traj.snapshot(0)).coeffs
         t = float(tg.times[5])
         z = params.phase_unit * t**params.beta * SymbolTable(grid, params, "continuum").mu
         ref = idft(SpectralField(grid=grid, coeffs=ml_e_grid(params.beta, z.astype(complex)) * u0_hat))
-        assert np.abs(traj.snapshots[5].values - ref.values).max() < 1e-10
+        assert np.abs(traj.values[5] - ref.values).max() < 1e-10
 
     def test_beta_one_mass_conservation(self):
         params = ModelParams(alpha=1.5, beta=1.0, sign=1)
@@ -424,6 +488,6 @@ class TestContinuumReference:
         traj = solve_continuum_reference(
             params, grid, TimeGrid(T=0.1, m_steps=512), gauss
         )
-        m0 = norm_lp(traj.snapshots[0], 2)
-        mT = norm_lp(traj.snapshots[-1], 2)
+        m0 = norm_lp(traj.snapshot(0), 2)
+        mT = norm_lp(traj.snapshot(-1), 2)
         assert abs(mT - m0) / m0 < 1e-6

@@ -224,6 +224,11 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi_eval(CFG_RAW, 0.1, 1.0)
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_mesh_rejected(self, h):
+        with pytest.raises(ValueError, match=rf"phi_eval: h must be positive and finite, got {h}"):
+            phi_eval(CFG_RAW, h, 1.0, beta=0.85)
+
 
 class TestSymbolInvariants:
     def test_sandwich(self):
