@@ -52,7 +52,7 @@ from .lattice import (
     lambda_norm,
     restrict,
 )
-from .special import ml_e_grid, ml_ee_grid
+from .special import GRID_TOL, ml_e_grid, ml_ee_grid
 from .symbol import SymbolConfig, w_on_dft_grid
 
 
@@ -207,7 +207,7 @@ class SymbolTable:
     """Per-mode dispersion multipliers and the kernel tables built from them."""
 
     def __init__(self, grid: LatticeGrid, params: ModelParams, kind: str = "lattice",
-                 ml_tol: float = 5e-8):
+                 ml_tol: float = GRID_TOL):
         if kind not in ("lattice", "continuum"):
             raise ValueError(f"symbol kind must be 'lattice' or 'continuum': {kind}")
         self.grid = grid
@@ -236,14 +236,14 @@ class SymbolTable:
         z = self.params.phase_unit * np.multiply.outer(tpow, self.distinct_mu).astype(np.complex128)
         return ml_e_grid(b, z, tol=self.ml_tol)[:, self.mode_index]
 
-    def duhamel_tables(self, timegrid: TimeGrid, mode_chunk: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    def duhamel_tables(self, timegrid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
         """Product-integration weights A, B of shape (m_steps, n_points).
 
         Row l-1 holds the lag-l pair: the integral of the kernel against
         the linear density over [t_j, t_{j+1}] with t_n - t_j = l dt is
         A[l-1]*g(t_j) + B[l-1]*g(t_{j+1}).
         """
-        A, B = _duhamel_weight_tables(timegrid, self.distinct_mu, self.params, self.ml_tol, mode_chunk)
+        A, B = _duhamel_weight_tables(timegrid, self.distinct_mu, self.params, self.ml_tol)
         return A[:, self.mode_index], B[:, self.mode_index]
 
 
@@ -280,8 +280,13 @@ def duhamel_weights(timegrid: TimeGrid, mu: float, params: ModelParams) -> tuple
     """
     if mu < 0.0:
         raise ValueError("duhamel_weights: mu must be >= 0")
-    A, B = _duhamel_weight_tables(timegrid, np.array([float(mu)]), params, 5e-8, 16)
+    A, B = _duhamel_weight_tables(timegrid, np.array([float(mu)]), params, GRID_TOL)
     return A[:, 0], B[:, 0]
+
+
+# modes per ml_ee_grid call in _duhamel_weight_tables: bounds the evaluator's
+# temporaries at about 8 * m_steps * _MODE_CHUNK points
+_MODE_CHUNK = 512
 
 
 def _duhamel_weight_tables(
@@ -289,7 +294,6 @@ def _duhamel_weight_tables(
     mus: np.ndarray,
     params: ModelParams,
     ml_tol: float,
-    mode_chunk: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     beta = params.beta
     taus, wfac, phi_a = _duhamel_nodes(timegrid, beta)
@@ -301,8 +305,8 @@ def _duhamel_weight_tables(
     wb = wfac * (1.0 - phi_a)
     tb = taus**beta
     unit = params.phase_unit
-    for lo in range(0, K, mode_chunk):
-        hi = min(lo + mode_chunk, K)
+    for lo in range(0, K, _MODE_CHUNK):
+        hi = min(lo + _MODE_CHUNK, K)
         z = unit * tb[:, :, None] * mus[None, None, lo:hi]
         ek = ml_ee_grid(beta, z.reshape(M * n_nodes, -1), tol=ml_tol).reshape(M, n_nodes, hi - lo)
         A[:, lo:hi] = np.einsum("li,lik->lk", wa, ek)
@@ -406,7 +410,7 @@ def solve(
     k_max: int = 60,
     nonlinear: bool = True,
     forcing=None,
-    ml_tol: float = 5e-8,
+    ml_tol: float = GRID_TOL,
     initial_field: LatticeField | None = None,
 ) -> SolutionTrajectory:
     """Picard construction of the solution to the memory integral equation.

@@ -19,6 +19,13 @@ Three evaluation routes are combined:
 * an arbitrary-precision fallback (mpmath) whenever the estimated error
   of either fast route exceeds the requested tolerance.
 
+The vectorised grid path (``ml_e_grid``/``ml_ee_grid``, the solver's
+tables) uses the first two routes only, split at the radius
+(ln 1/tol)^b.  Each point's truncation order follows from its own |z|
+through a few scalar thresholds per (b, g, tol); the points are sorted by
+order once and every branch is summed by Horner's rule, so a point pays
+for its own order, not for the worst one.
+
 ``ml_oracle`` exposes the arbitrary-precision series directly; the test
 suite uses it as the independent reference for everything else.
 """
@@ -460,7 +467,86 @@ def _check_sector(beta: float, z: complex) -> None:
 # vectorised evaluation for propagator tables
 # ---------------------------------------------------------------------------
 
-_GRID_TOL = 5e-8
+# default tolerance of the grid evaluators, shared by every solver table
+GRID_TOL = 5e-8
+_SERIES_CUT = 1e-22  # a series point stops after its first term k > 8 below this
+_ASYM_TERMS = 59  # most algebraic terms the asymptotic branch adds
+
+
+def _series_plan(beta: float, gam: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients 1/Gamma(beta*k + gam), k = 0..kmax, and the order thresholds.
+
+    A point stops after the first k > 8 with |z|^k |c_k| < _SERIES_CUT, that
+    is, after the first k whose radius (_SERIES_CUT/|c_k|)^{1/k} exceeds |z|.
+    The running maximum of those radii (k = 9..kmax) is sorted, so the
+    order is 9 plus a searchsorted.
+    """
+    kmax = min(int(3.5 * radius ** (1.0 / beta) / beta) + 30, 600) - 1
+    coef = np.array([_recip_gamma_real(beta * k + gam) for k in range(kmax + 1)])
+    with np.errstate(divide="ignore"):
+        radii = np.exp((math.log(_SERIES_CUT) - np.log(np.abs(coef[9:]))) / np.arange(9, kmax + 1))
+    return coef, np.maximum.accumulate(radii)
+
+
+def _asymp_plan(beta: float, gam: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients 1/Gamma(gam - beta*k), k = 0..59, and the order thresholds.
+
+    With L_k the log of the sine-free envelope of 1/Gamma(gam - beta*k),
+    term k has envelope exp(L_k - k ln|z|).  It is no larger than term
+    k-1's while |z| >= exp(L_k - L_{k-1}) (k >= 2; term 1 always counts),
+    and it is below tol*1e-3 once |z| > exp((L_k - ln(tol*1e-3))/k).  The
+    running maximum of the first radii and the running minimum of the
+    second are monotone, so both counts are searchsorteds.
+    """
+    ks = np.arange(_ASYM_TERMS + 1)
+    coef = np.array([_recip_gamma_real(gam - beta * k) for k in ks])
+    logenv = np.array([_log_env_recip_gamma(gam - beta * k) for k in ks])
+    rising = np.exp(np.maximum.accumulate(np.diff(logenv)[1:]))  # k = 2..59
+    settled = np.exp(np.minimum.accumulate((logenv[1:] - math.log(tol * 1e-3)) / ks[1:]))
+    return coef, rising, settled[::-1]  # ascending: k = 59..1
+
+
+def _grid_orders(
+    beta: float, gam: float, tol: float, absz: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-point truncation orders of _ml_grid, with the coefficients they index.
+
+    Returns (key, series_coef, asym_coef).  key (int16) is the series
+    order N of a point inside the crossover radius, and
+    len(series_coef) + K, K the asymptotic order, outside it; so sorting
+    by key groups the points by branch, then by order.
+    """
+    radius = math.log(1.0 / tol) ** beta
+    scoef, sradii = _series_plan(beta, gam, radius)
+    acoef, rising, settled = _asymp_plan(beta, gam, tol)
+    small = absz < radius
+    key = np.empty(absz.shape, dtype=np.int16)
+    key[small] = np.minimum(9 + np.searchsorted(sradii, absz[small], side="right"), scoef.size - 1)
+    big = ~small
+    absb = absz[big]
+    past_min = 1 + np.searchsorted(rising, absb, side="right")
+    unsettled = 1 + settled.size - np.searchsorted(settled, absb, side="left")
+    key[big] = scoef.size + np.minimum(past_min, unsettled)
+    return key, scoef, acoef
+
+
+def _asymp_sum(beta: float, gam: float, zb: np.ndarray,
+               coef: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """(1/b) z^{(1-g)/b} e^{z^{1/b}} - sum_{k=1..K} coef[k] z^{-k} on points sorted by K.
+
+    start[k] (k = 0..59) is the first position with order >= k; Horner in
+    1/z runs each term over that suffix only.
+    """
+    logz = np.log(zb)
+    lead = np.exp(np.exp(logz / beta) + (1.0 - gam) / beta * logz) / beta
+    w = 1.0 / zb
+    acc = np.zeros_like(zb)
+    for k in range(_ASYM_TERMS, 0, -1):
+        a = acc[start[k]:]
+        a += coef[k]
+        a *= w[start[k]:]
+    lead -= acc
+    return lead
 
 
 def _ml_grid(beta: float, gam: float, z: np.ndarray, tol: float) -> np.ndarray:
@@ -468,66 +554,58 @@ def _ml_grid(beta: float, gam: float, z: np.ndarray, tol: float) -> np.ndarray:
 
     Fast two-regime split tuned so that neither branch needs extended
     precision: the crossover radius (ln 1/tol)^beta puts the asymptotic
-    floor e^{-|z|^{1/beta}} below tol, and at that radius the series
-    cancellation stays within double headroom for beta >= 0.7.
+    floor e^{-|z|^{1/beta}} below tol.  Both branches stay within the
+    default tol = 5e-8 on the solver's whole range beta in (1/2, 1]: on the
+    ray, against the 50-digit oracle (|z| <= 30 for beta < 0.7, 60 above),
+    the worst relative error of E_beta and E_{beta,beta} is 8.5e-9 at
+    beta = 0.55, 1.3e-8 at 0.6, 1.9e-8 at 0.7 and 1.5e-8 at 0.85.
+
+    Each point's truncation order comes from its own |z|:
+
+    * series, |z| < radius: terms k = 0..N, N the first k > 8 with
+      |z|^k |1/Gamma(beta*k + gam)| < 1e-22;
+    * asymptotic, (1/b) z^{(1-g)/b} e^{z^{1/b}} - sum_{k=1..K} z^{-k}/Gamma(g - b*k):
+      K ends at the point's own minimum of the sine-free term envelope,
+      or at its first term whose envelope is below tol*1e-3 (at most 59).
+
+    Both orders are step functions of |z| read off scalar thresholds
+    (_grid_orders).  The points are sorted once by (branch, order); Horner's
+    rule, in z or in 1/z, then runs from the highest order down over a
+    suffix of the sorted points that grows as the order falls, so each
+    point pays for its own order only.
     """
     z = np.ascontiguousarray(z, dtype=np.complex128)
-    out = np.empty_like(z)
-    absz = np.abs(z)
-    radius = math.log(1.0 / tol) ** beta
-    small = absz < radius
+    if beta == 1.0 and gam == 1.0:
+        return np.exp(z)  # E_1 = E_{1,1} = exp, as in _ml_point
+    zf = z.ravel()
+    absz = np.abs(zf)
+    key, scoef, acoef = _grid_orders(beta, gam, tol, absz)
+    nser = scoef.size
+    counts = np.bincount(key, minlength=nser + _ASYM_TERMS + 1)
+    perm = np.argsort(key, kind="stable")
+    # start[j]: the first sorted position whose key is >= j
+    start = np.concatenate(([0], np.cumsum(counts)))
+    nsmall = int(start[nser])
+    zs = zf[perm]
 
-    if np.any(small):
-        zs = z[small]
-        acc = np.full(zs.shape, complex(_recip_gamma_real(gam)))
-        zp = np.ones_like(zs)
-        kmax = int(3.5 * radius ** (1.0 / beta) / beta) + 30
-        for k in range(1, min(kmax, 600)):
-            zp = zp * zs
-            c = _recip_gamma_real(beta * k + gam)
-            if c != 0.0:
-                acc += zp * c
-            # terms past the peak decay geometrically; stop once negligible
-            if k > 8 and radius ** k * abs(c) < 1e-22:
-                break
-        out[small] = acc
-
-    big = ~small
-    if np.any(big):
-        zb = z[big]
-        logz = np.log(zb)
-        lead = np.exp(np.exp(logz / beta)) / beta
-        if gam != 1.0:
-            lead = lead * np.exp(logz * (1.0 - gam) / beta)
-        corr = np.zeros_like(zb)
-        zinv = 1.0 / zb
-        zp = np.ones_like(zb)
-        lnz = np.log(np.abs(zb))
-        prev_env = np.full(zb.shape, np.inf)
-        active = np.ones(zb.shape, dtype=bool)
-        for k in range(1, 60):
-            zp = zp * zinv
-            # sine-free envelope decides where the tail turned divergent
-            env = np.exp(np.minimum(_log_env_recip_gamma(gam - beta * k) - k * lnz, 700.0))
-            active &= env <= prev_env
-            if not np.any(active):
-                break
-            c = _recip_gamma_real(gam - beta * k)
-            if c != 0.0:
-                corr[active] -= zp[active] * c
-            prev_env = np.where(active, env, prev_env)
-            if float(np.max(env[active], initial=0.0)) < tol * 1e-3:
-                break
-        out[big] = lead + corr
-    return out
+    res = np.zeros(nsmall, dtype=np.complex128)
+    for k in range(nser - 1, -1, -1):
+        a = res[start[k]:]
+        a *= zs[start[k]:nsmall]
+        a += scoef[k]
+    zs[nsmall:] = _asymp_sum(beta, gam, zs[nsmall:], acoef, start[nser:] - nsmall)
+    zs[:nsmall] = res
+    out = np.empty_like(zf)
+    out[perm] = zs
+    return out.reshape(z.shape)
 
 
-def ml_e_grid(beta: float, z: np.ndarray, tol: float = _GRID_TOL) -> np.ndarray:
+def ml_e_grid(beta: float, z: np.ndarray, tol: float = GRID_TOL) -> np.ndarray:
     """Vectorised E_beta on sector points (propagator symbol tables)."""
     return _ml_grid(beta, 1.0, z, tol)
 
 
-def ml_ee_grid(beta: float, z: np.ndarray, tol: float = _GRID_TOL) -> np.ndarray:
+def ml_ee_grid(beta: float, z: np.ndarray, tol: float = GRID_TOL) -> np.ndarray:
     """Vectorised E_{beta,beta} on sector points (memory kernel tables)."""
     return _ml_grid(beta, beta, z, tol)
 

@@ -231,7 +231,7 @@ class TestSymbolTable:
         prop = tab.propagator_table(tg)
         assert np.abs(prop - full).max() <= tab.ml_tol * np.abs(full).max()
         assert np.abs(tab.propagator_multiplier(float(tg.times[5])) - full[5]).max() <= tab.ml_tol
-        A_full, B_full = _duhamel_weight_tables(tg, tab.mu, params, tab.ml_tol, 512)
+        A_full, B_full = _duhamel_weight_tables(tg, tab.mu, params, tab.ml_tol)
         A, B = tab.duhamel_tables(tg)
         for got, ref in ((A, A_full), (B, B_full)):
             assert np.abs(got - ref).max() <= tab.ml_tol * np.abs(ref).max()

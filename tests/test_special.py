@@ -8,6 +8,7 @@ import threading
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fraclat import special
 from fraclat.special import (
@@ -230,6 +231,38 @@ class TestSectorInvariants:
         assert rep["ok"], rep
 
 
+def _reference_order(beta: float, gam: float, tol: float, r: float) -> int:
+    """The truncation rules of the grid path applied term by term at |z| = r."""
+    radius = math.log(1.0 / tol) ** beta
+    if r < radius:
+        kmax = min(int(3.5 * radius ** (1.0 / beta) / beta) + 30, 600) - 1
+        for k in range(9, kmax):
+            if r**k * abs(special._recip_gamma_real(beta * k + gam)) < 1e-22:
+                return k
+        return kmax
+    prev = math.inf
+    for k in range(1, 60):
+        env = math.exp(special._log_env_recip_gamma(gam - beta * k) - k * math.log(r))
+        if env > prev:
+            return k - 1  # past the point's envelope minimum
+        if env < tol * 1e-3:
+            return k
+        prev = env
+    return 59
+
+
+def _order_breakpoints(beta: float, gam: float, rmax: float) -> list[float]:
+    """Radii on both sides of the two outermost series order jumps and the
+    two innermost asymptotic ones, below rmax."""
+    rs = np.geomspace(0.5, rmax, 4000)
+    key, scoef, _ = special._grid_orders(beta, gam, special.GRID_TOL, rs)
+    jumps = np.flatnonzero(np.diff(key) != 0)
+    series = [j for j in jumps if key[j + 1] < scoef.size]
+    asymp = [j for j in jumps if key[j] >= scoef.size]
+    assert len(series) >= 2 and len(asymp) >= 2
+    return [r for j in series[-2:] + asymp[:2] for r in (rs[j], rs[j + 1])]
+
+
 class TestGridEvaluators:
     @pytest.mark.parametrize("beta", [0.76, 0.85, 1.0])
     def test_grid_matches_scalar(self, beta):
@@ -241,6 +274,53 @@ class TestGridEvaluators:
         for i in range(rs.size):
             assert ge[i] == pytest.approx(ml_e(beta, complex(z[i]), params), rel=5e-8)
             assert gee[i] == pytest.approx(ml_ee(beta, complex(z[i]), params), rel=5e-8)
+
+    @pytest.mark.parametrize("beta", [0.55, 0.7, 0.85, 1.0])
+    def test_grid_matches_oracle_on_the_ray(self, beta):
+        # the crossover radius from both sides, and both sides of order jumps
+        rmax = 30.0 if beta < 0.7 else 60.0
+        radius = math.log(1.0 / special.GRID_TOL) ** beta
+        common = [0.0, 0.5 * radius, 0.99 * radius, 1.01 * radius, rmax]
+        for gam, grid_f in ((1.0, ml_e_grid), (beta, ml_ee_grid)):
+            rs = np.array(common + _order_breakpoints(beta, gam, rmax))
+            z = rs * cmath.exp(-1j * beta * math.pi / 2.0)
+            got = grid_f(beta, z)
+            for zi, gi in zip(z, got):
+                assert gi == pytest.approx(ml_oracle(beta, complex(zi), gam, digits=50), rel=5e-8)
+
+    @pytest.mark.parametrize("beta", [0.55, 0.85])
+    def test_orders_follow_term_by_term_rules(self, beta):
+        tol = special.GRID_TOL
+        radius = math.log(1.0 / tol) ** beta
+        rs = np.geomspace(1e-3, 3e3, 1500)
+        for gam in (1.0, beta):
+            key, scoef, _ = special._grid_orders(beta, gam, tol, rs)
+            in_series = key < scoef.size
+            assert np.array_equal(in_series, rs < radius)
+            got = np.where(in_series, key, key - scoef.size)
+            want = [_reference_order(beta, gam, tol, r) for r in rs]
+            assert got.tolist() == want
+
+    def test_beta_one_is_exp(self):
+        rng = np.random.default_rng(11)
+        ray = np.linspace(0.0, 60.0, 31) * -1j
+        off = rng.uniform(-40.0, 40.0, 40) + 1j * rng.uniform(-40.0, 40.0, 40)
+        for z in (ray, off):
+            ref = np.exp(z)
+            for grid_f in (ml_e_grid, ml_ee_grid):
+                assert np.all(np.abs(grid_f(1.0, z) - ref) <= 1e-15 * np.abs(ref))
+
+    # beta >= 0.6 keeps e^{|z|^{1/beta}} inside double range at |z| = 40, arg z = 0
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(0.6, 1.0),
+        r=st.floats(0.0, 40.0),
+        frac=st.floats(-1.0, 1.0),
+    )
+    def test_grid_matches_scalar_in_sector(self, beta, r, frac):
+        z = complex(r * cmath.exp(1j * frac * beta * math.pi / 2.0))
+        assert ml_e_grid(beta, np.array([z]))[0] == pytest.approx(ml_e(beta, z), rel=5e-8)
+        assert ml_ee_grid(beta, np.array([z]))[0] == pytest.approx(ml_ee(beta, z), rel=5e-8)
 
 
 class TestMLParams:
