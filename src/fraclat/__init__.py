@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .special import MLParams, gamma_real, ml_e, ml_ee, ml_oracle
+from .special import MLOverflowError, ml_e, ml_ee, ml_oracle
 from .symbol import (
     CriticalPoints,
     SymbolConfig,

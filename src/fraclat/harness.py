@@ -46,7 +46,7 @@ from .solver import (
     solve,
     solve_continuum_reference,
 )
-from .special import ml_e, ml_ee, ml_oracle, MLParams
+from .special import ml_e, ml_ee, ml_oracle
 from .symbol import (
     SymbolConfig,
     find_xi0,
@@ -514,7 +514,6 @@ def run_ml_check(
     """Sector-ray comparison of the fast evaluators against the series oracle."""
     results = []
     for beta in betas:
-        mlp = MLParams(beta=beta)
         worst_e = worst_ee = 0.0
         sup_e = 0.0
         # descending radii: the first point builds the largest gamma table,
@@ -523,8 +522,8 @@ def run_ml_check(
             z = complex(r) * cmath.exp(-1j * beta * math.pi / 2.0)
             ref_e = ml_oracle(beta, z, 1.0, digits=oracle_digits)
             ref_ee = ml_oracle(beta, z, beta, digits=oracle_digits)
-            worst_e = max(worst_e, abs(ml_e(beta, z, mlp) - ref_e) / abs(ref_e))
-            worst_ee = max(worst_ee, abs(ml_ee(beta, z, mlp) - ref_ee) / abs(ref_ee))
+            worst_e = max(worst_e, abs(ml_e(beta, z) - ref_e) / abs(ref_e))
+            worst_ee = max(worst_ee, abs(ml_ee(beta, z) - ref_ee) / abs(ref_ee))
             sup_e = max(sup_e, abs(ref_e))
         results.append(
             {

@@ -314,10 +314,3 @@ def field_from_bytes(buf: bytes, offset: int = 0) -> tuple[LatticeField, float, 
     end = start + 16 * n
     values = np.frombuffer(buf[start:end], dtype="<c16").copy()
     return LatticeField(grid=LatticeGrid(h=h, n_points=int(n)), values=values), t, end
-
-
-def field_to_csv(field: LatticeField, path, t: float = 0.0) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,re,im\n")
-        for x, v in zip(field.grid.sites(), field.values):
-            fh.write(f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n")

@@ -1,4 +1,4 @@
-"""Gamma and Mittag-Leffler functions on the propagator sector.
+"""Mittag-Leffler functions on the propagator sector.
 
 The two-parameter Mittag-Leffler family
 
@@ -7,27 +7,31 @@ The two-parameter Mittag-Leffler family
 supplies the linear propagator multiplier E_b = E_{b,1} and the memory
 kernel multiplier E_{b,b}.  All propagator arguments in this package lie
 on the ray arg z = -b*pi/2 (branch convention i^{-b} = exp(-i*b*pi/2)),
-where both functions stay uniformly bounded, so the evaluation strategy
-only has to be trustworthy on the closed sector |arg z| <= b*pi/2.
+where both functions stay uniformly bounded, so the evaluation only has
+to be trustworthy on the closed sector |arg z| <= b*pi/2.
 
-Three evaluation routes are combined:
+One vectorised evaluator, ``_ml_grid``, serves every caller.  For a
+relative tolerance tol it picks a route per point from rho = |z|^{1/b}:
 
-* power series in double precision while the terms cannot cancel
-  catastrophically,
-* the large-|z| expansion (1/b) z^{(1-g)/b} exp(z^{1/b}) minus the
-  algebraic series z^{-k}/Gamma(g - b*k),
-* an arbitrary-precision fallback (mpmath) whenever the estimated error
-  of either fast route exceeds the requested tolerance.
+* rho < ln(tol/1e-16): the power series by Horner's rule in double
+  precision; its partial sums peak near e^rho, so rounding costs about
+  1e-16 e^rho;
+* rho >= ln(1/tol): the large-|z| expansion (1/b) z^{(1-g)/b} exp(z^{1/b})
+  minus the algebraic series z^{-k}/Gamma(g - b*k), whose smallest term is
+  about e^{-rho};
+* in the band between: the Bromwich integral on a parabolic contour, with
+  the pole z^{1/b} subtracted and its residue added back.
 
-The vectorised grid path (``ml_e_grid``/``ml_ee_grid``, the solver's
-tables) uses the first two routes only, split at the radius
-(ln 1/tol)^b.  Each point's truncation order follows from its own |z|
-through a few scalar thresholds per (b, g, tol); the points are sorted by
-order once and every branch is summed by Horner's rule, so a point pays
-for its own order, not for the worst one.
+The band is empty for tol >= 1e-8.  So the solver's tables
+(``ml_e_grid``/``ml_ee_grid`` at ``GRID_TOL``) use series and asymptotics
+only, while ``ml_e``/``ml_ee`` are one-point calls at 1e-12 that use all
+three.  Series and asymptotic truncation orders follow from each point's
+own |z| through a few scalar thresholds per (b, g, tol); the points are
+sorted by route and order once, and each branch is summed by Horner's
+rule, so a point pays for its own order, not for the worst one.
 
-``ml_oracle`` exposes the arbitrary-precision series directly; the test
-suite uses it as the independent reference for everything else.
+``ml_oracle`` sums the series in arbitrary precision (mpmath).  It is the
+test suite's independent reference; no evaluator calls it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from __future__ import annotations
 import math
 import cmath
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 import mpmath as mp
@@ -56,107 +59,19 @@ from mpmath.libmp import (
     mpf_shift,
     round_nearest as _RND,
 )
-from scipy.special import gammaln as _gammaln
-
-
-class PoleError(ValueError):
-    """Gamma evaluated at a non-positive integer."""
+from scipy.special import rgamma as _rgamma
 
 
 class NonConvergenceError(RuntimeError):
     """A series failed to converge within its term budget."""
 
 
-# ---------------------------------------------------------------------------
-# real Gamma via Lanczos
-# ---------------------------------------------------------------------------
-
-# Godfrey's 15-coefficient Lanczos table, g = 607/128.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _lanczos_sum(x: float) -> float:
-    s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (x + i)
-    return s
-
-
-def gamma_real(x: float) -> float:
-    """Gamma(x) for real x, poles excluded.
-
-    Accurate to ~1e-14 relative on [-170, 170] away from the poles;
-    negative arguments go through the reflection formula.
-    """
-    if x == math.floor(x) and x <= 0.0:
-        raise PoleError(f"gamma_real: pole at x = {x:g}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_real(1.0 - x))
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    # the exponent reaches ~700 near x = 170; assembling it in extended
-    # precision keeps the relative error of exp() at the 1e-15 level
-    ld = np.longdouble
-    lg = (ld(z) + ld(0.5)) * np.log(ld(t)) - ld(t)
-    return float(np.exp(lg) * ld(_SQRT_2PI) * ld(_lanczos_sum(z)))
-
-
-def _recip_gamma_real(x: float) -> float:
-    """1/Gamma(x) with zeros (not poles) at non-positive integers."""
-    if x == math.floor(x) and x <= 0.0:
-        return 0.0
-    if x > 171.0:
-        return 0.0  # Gamma overflows double; reciprocal underflows
-    return 1.0 / gamma_real(x)
+class MLOverflowError(OverflowError):
+    """A Mittag-Leffler value at a finite argument leaves double range."""
 
 
 # ---------------------------------------------------------------------------
-# Mittag-Leffler parameters
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MLParams:
-    """Evaluation policy: regime switch radius, asymptotic order, tolerance."""
-
-    beta: float
-    series_radius: float = 10.0
-    asym_order: int = 10
-    tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"MLParams: beta must be in (0, 1], got {self.beta}")
-        if self.series_radius <= 0.0:
-            raise ValueError("MLParams: series_radius must be positive")
-        if self.asym_order < 2:
-            raise ValueError("MLParams: asym_order must be >= 2")
-        if self.tol <= 0.0:
-            raise ValueError("MLParams: tol must be positive")
-
-
-# ---------------------------------------------------------------------------
-# arbitrary-precision series (oracle and fallback)
+# arbitrary-precision series (the test oracle)
 # ---------------------------------------------------------------------------
 
 # mpmath keeps its working precision in the process-wide ``mp`` context, so
@@ -316,45 +231,16 @@ def ml_oracle(beta: float, z: complex, second_param: float = 1.0, digits: int = 
 
 
 # ---------------------------------------------------------------------------
-# fast scalar evaluation
+# the evaluator
 # ---------------------------------------------------------------------------
 
-
-def _cancellation_digits(beta: float, gam: float, absz: float) -> float:
-    """log10 of the largest series term (the sum itself is O(1) on the ray)."""
-    if absz <= 1.0:
-        return 0.0
-    kpeak = int(max(4.0, absz ** (1.0 / beta) / beta)) + 2
-    ks = np.arange(1, kpeak + 8, dtype=float)
-    logs = ks * math.log(absz) - _gammaln(beta * ks + gam)
-    return float(np.max(logs)) / math.log(10.0)
-
-
-def _ml_series_double(beta: float, gam: float, z: complex) -> tuple[complex, float]:
-    """Compensated double-precision power series; returns (sum, max |term|)."""
-    s = complex(0.0)
-    comp = complex(0.0)  # Kahan compensation
-    zp = complex(1.0)
-    maxt = 0.0
-    quiet = 0
-    for k in range(512):
-        t = zp * _recip_gamma_real(beta * k + gam)
-        maxt = max(maxt, abs(t))
-        # Kahan step
-        y = t - comp
-        tot = s + y
-        comp = (tot - s) - y
-        s = tot
-        zp *= z
-        if abs(t) <= 1e-17 * (abs(s) + 1e-300):
-            quiet += 1
-            if quiet >= 6:
-                return s, maxt
-        else:
-            quiet = 0
-    raise NonConvergenceError(
-        f"double-precision ML series did not settle (beta={beta}, |z|={abs(z):.3g})"
-    )
+# default tolerance of the grid evaluators, shared by every solver table
+GRID_TOL = 5e-8
+_POINT_TOL = 1e-12  # tolerance of the one-point evaluators ml_e and ml_ee
+_EPS = 1e-16  # rounding of a double series, relative to its largest partial sum
+_SERIES_CUT = 1e-22  # a series point stops after its first term k > 8 below this
+_ASYM_TERMS = 59  # most algebraic terms the asymptotic branch adds
+_CONTOUR_N = 32  # the contour's trapezoid rule has 2N + 1 nodes
 
 
 def _log_env_recip_gamma(g: float) -> float:
@@ -370,109 +256,6 @@ def _log_env_recip_gamma(g: float) -> float:
     return math.lgamma(1.0 - g) - math.log(math.pi)
 
 
-def _ml_asymp_double(
-    beta: float, gam: float, z: complex, order: int
-) -> tuple[complex, float]:
-    """Sector expansion (1/b) z^{(1-g)/b} e^{z^{1/b}} - sum_k z^{-k}/Gamma(g-bk).
-
-    Returns (value, conservative truncation-error estimate).  The algebraic
-    series is truncated at order-1 terms or at the minimum of its sine-free
-    term envelope, whichever comes first; Gamma poles delete their term.
-    """
-    logz = cmath.log(z)
-    lead = cmath.exp(cmath.exp(logz / beta)) / beta
-    if gam != 1.0:
-        lead *= cmath.exp(logz * (1.0 - gam) / beta)
-    lnz = math.log(abs(z))
-    s = complex(0.0)
-    zinv = 1.0 / z
-    zp = complex(1.0)
-    prev_env = math.inf
-    est = math.inf
-    k = 1
-    while k < order:
-        zp *= zinv
-        env = math.exp(min(_log_env_recip_gamma(gam - beta * k) - k * lnz, 700.0))
-        if env > prev_env:
-            est = prev_env  # envelope minimum reached: stop before divergence
-            break
-        coeff = _recip_gamma_real(gam - beta * k)
-        if coeff != 0.0:
-            s -= zp * coeff
-        prev_env = env
-        est = env
-        k += 1
-    else:
-        # order exhausted: the first omitted term's envelope bounds the rest
-        env_next = math.exp(
-            min(_log_env_recip_gamma(gam - beta * order) - order * lnz, 700.0)
-        )
-        est = max(est, env_next)
-    return lead + s, est
-
-
-def _ml_point(beta: float, gam: float, z: complex, params: MLParams) -> complex:
-    """One Mittag-Leffler value on the sector, honouring params.tol."""
-    if beta == 1.0 and gam == 1.0:
-        return cmath.exp(z)  # both E_1 and E_{1,1} degenerate to the exponential
-    absz = abs(z)
-    if absz == 0.0:
-        return complex(1.0 / gamma_real(gam))
-    if absz < params.series_radius:
-        cancel = _cancellation_digits(beta, gam, absz)
-        if 10.0 ** (cancel - 15.5) < 0.1 * params.tol:
-            val, maxt = _ml_series_double(beta, gam, z)
-            # post-hoc guard: the pre-estimate assumes an O(1) result, which
-            # fails when the true value is exponentially small
-            if 2e-16 * maxt <= 0.1 * params.tol * abs(val):
-                return val
-            digits = int(-math.log10(params.tol) + math.log10(maxt / max(abs(val), 1e-300))) + 6
-        else:
-            digits = int(-math.log10(params.tol)) + 6
-        return _ml_series_mp(beta, gam, z, digits)
-    val, est = _ml_asymp_double(beta, gam, z, params.asym_order)
-    if est > params.tol * max(abs(val), 1e-30):
-        digits = int(-math.log10(params.tol)) + 6
-        return _ml_series_mp(beta, gam, z, digits)
-    return val
-
-
-def ml_e(beta: float, z: complex, params: MLParams | None = None) -> complex:
-    """E_beta(z) on the sector |arg z| <= beta*pi/2 to params.tol relative."""
-    if params is None:
-        params = MLParams(beta=beta)
-    _check_sector(beta, z)
-    return _ml_point(beta, 1.0, complex(z), params)
-
-
-def ml_ee(beta: float, z: complex, params: MLParams | None = None) -> complex:
-    """E_{beta,beta}(z) on the sector |arg z| <= beta*pi/2 to params.tol relative."""
-    if params is None:
-        params = MLParams(beta=beta)
-    _check_sector(beta, z)
-    return _ml_point(beta, beta, complex(z), params)
-
-
-def _check_sector(beta: float, z: complex) -> None:
-    if beta == 1.0:
-        return  # E_1 = exp: the expansion is exact in the whole plane
-    if z != 0 and abs(cmath.phase(z)) > beta * math.pi / 2.0 + 1e-9:
-        raise ValueError(
-            f"argument off the validity sector: |arg z| = {abs(cmath.phase(z)):.4f} "
-            f"> beta*pi/2 = {beta * math.pi / 2.0:.4f}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# vectorised evaluation for propagator tables
-# ---------------------------------------------------------------------------
-
-# default tolerance of the grid evaluators, shared by every solver table
-GRID_TOL = 5e-8
-_SERIES_CUT = 1e-22  # a series point stops after its first term k > 8 below this
-_ASYM_TERMS = 59  # most algebraic terms the asymptotic branch adds
-
-
 def _series_plan(beta: float, gam: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients 1/Gamma(beta*k + gam), k = 0..kmax, and the order thresholds.
 
@@ -482,7 +265,7 @@ def _series_plan(beta: float, gam: float, radius: float) -> tuple[np.ndarray, np
     order is 9 plus a searchsorted.
     """
     kmax = min(int(3.5 * radius ** (1.0 / beta) / beta) + 30, 600) - 1
-    coef = np.array([_recip_gamma_real(beta * k + gam) for k in range(kmax + 1)])
+    coef = _rgamma(beta * np.arange(kmax + 1) + gam)
     with np.errstate(divide="ignore"):
         radii = np.exp((math.log(_SERIES_CUT) - np.log(np.abs(coef[9:]))) / np.arange(9, kmax + 1))
     return coef, np.maximum.accumulate(radii)
@@ -499,7 +282,7 @@ def _asymp_plan(beta: float, gam: float, tol: float) -> tuple[np.ndarray, np.nda
     second are monotone, so both counts are searchsorteds.
     """
     ks = np.arange(_ASYM_TERMS + 1)
-    coef = np.array([_recip_gamma_real(gam - beta * k) for k in ks])
+    coef = _rgamma(gam - beta * ks)
     logenv = np.array([_log_env_recip_gamma(gam - beta * k) for k in ks])
     rising = np.exp(np.maximum.accumulate(np.diff(logenv)[1:]))  # k = 2..59
     settled = np.exp(np.minimum.accumulate((logenv[1:] - math.log(tol * 1e-3)) / ks[1:]))
@@ -509,20 +292,23 @@ def _asymp_plan(beta: float, gam: float, tol: float) -> tuple[np.ndarray, np.nda
 def _grid_orders(
     beta: float, gam: float, tol: float, absz: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-point truncation orders of _ml_grid, with the coefficients they index.
+    """Per-point routes and truncation orders of _ml_grid, with the coefficients they index.
 
-    Returns (key, series_coef, asym_coef).  key (int16) is the series
-    order N of a point inside the crossover radius, and
-    len(series_coef) + K, K the asymptotic order, outside it; so sorting
-    by key groups the points by branch, then by order.
+    Returns (key, series_coef, asym_coef).  key (int16) is a point's series
+    order N for rho = |z|^{1/beta} below min(ln(tol/_EPS), ln(1/tol)),
+    len(series_coef) + K, K its asymptotic order, for rho >= ln(1/tol), and
+    len(series_coef) + 60, past every asymptotic key, in the contour band
+    between.  So sorting by key groups the points by route, then by order.
     """
-    radius = math.log(1.0 / tol) ** beta
-    scoef, sradii = _series_plan(beta, gam, radius)
+    rho_a = math.log(1.0 / tol)
+    r_series = min(math.log(tol / _EPS), rho_a) ** beta
+    r_asymp = rho_a**beta
+    scoef, sradii = _series_plan(beta, gam, r_series)
     acoef, rising, settled = _asymp_plan(beta, gam, tol)
-    small = absz < radius
-    key = np.empty(absz.shape, dtype=np.int16)
+    key = np.full(absz.shape, scoef.size + _ASYM_TERMS + 1, dtype=np.int16)
+    small = absz < r_series
     key[small] = np.minimum(9 + np.searchsorted(sradii, absz[small], side="right"), scoef.size - 1)
-    big = ~small
+    big = absz >= r_asymp
     absb = absz[big]
     past_min = 1 + np.searchsorted(rising, absb, side="right")
     unsettled = 1 + settled.size - np.searchsorted(settled, absb, side="left")
@@ -549,55 +335,108 @@ def _asymp_sum(beta: float, gam: float, zb: np.ndarray,
     return lead
 
 
+def _contour_sum(beta: float, gam: float, zc: np.ndarray) -> np.ndarray:
+    """E_{beta,gam} from the Bromwich integral on a parabola, pole subtracted.
+
+    E = (1/2 pi i) int e^s s^{b-g}/(s^b - z) ds over the parabola
+    s(u) = mu (1 + iu)^2, u real, which winds round the branch cut on the
+    negative axis (Weideman & Trefethen, Math. Comp. 76, 2007).  On the
+    sector the integrand has one pole, s* = z^{1/b}, with residue c e^{s*},
+    c = s*^{1-g}/b.  Subtracting c e^s/(s - s*) from the integrand and
+    adding c e^{s*} back gives E whether s* lies inside the parabola or
+    outside it (Garrappa, SIAM J. Numer. Anal. 53, 2015), and leaves the
+    trapezoid rule a pole-free integrand:
+
+        E = c e^{s*} + (h mu/pi) sum_{k=-N..N} [e^s s^{b-g}/(s^b - z) - c e^s/(s - s*)] (1 + iu)
+
+    at s = s(u), u = (k + off) h, with N = 32, mu = pi N/12 and h = 3/N.  The
+    two terms cancel catastrophically when s* sits on a node, so a point
+    whose pole pre-image u* = (sqrt(s*/mu) - 1)/i lies within h/4 of a node
+    takes off = 1/2, otherwise off = 0.
+    """
+    n = _CONTOUR_N
+    mu, h = math.pi * n / 12.0, 3.0 / n
+    logz = np.log(zc)
+    star = np.exp(logz / beta)
+    c = np.exp((1.0 - gam) / beta * logz) / beta
+    ustar = (np.sqrt(star / mu) - 1.0) / 1j
+    off = np.where(np.abs(ustar - h * np.round(ustar.real / h)) < h / 4.0, 0.5, 0.0)
+    acc = np.zeros_like(zc)
+    for k in range(-n, n + 1):
+        w = 1.0 + 1j * h * (k + off)
+        s = mu * w * w
+        logs = np.log(s)
+        es = np.exp(s)
+        acc += (es * np.exp((beta - gam) * logs) / (np.exp(beta * logs) - zc) - c * es / (s - star)) * w
+    return c * np.exp(star) + h * mu / math.pi * acc
+
+
 def _ml_grid(beta: float, gam: float, z: np.ndarray, tol: float) -> np.ndarray:
-    """Vectorised E_{beta,gam} over an ndarray of sector points.
+    """Vectorised E_{beta,gam} over an ndarray of sector points, to tol relative.
 
-    Fast two-regime split tuned so that neither branch needs extended
-    precision: the crossover radius (ln 1/tol)^beta puts the asymptotic
-    floor e^{-|z|^{1/beta}} below tol.  Both branches stay within the
-    default tol = 5e-8 on the solver's whole range beta in (1/2, 1]: on the
-    ray, against the 50-digit oracle (|z| <= 30 for beta < 0.7, 60 above),
-    the worst relative error of E_beta and E_{beta,beta} is 8.5e-9 at
-    beta = 0.55, 1.3e-8 at 0.6, 1.9e-8 at 0.7 and 1.5e-8 at 0.85.
+    Routes, with rho = |z|^{1/beta}:
 
-    Each point's truncation order comes from its own |z|:
+    * series, rho < ln(tol/1e-16) (and below the asymptotic radius): terms
+      k = 0..N, N the first k > 8 with |z|^k |1/Gamma(beta*k + gam)| < 1e-22;
+    * asymptotic, rho >= ln(1/tol), so that the expansion's floor e^{-rho}
+      is below tol: (1/b) z^{(1-g)/b} e^{z^{1/b}} - sum_{k=1..K} z^{-k}/Gamma(g - b*k),
+      K ending at the point's own minimum of the sine-free term envelope,
+      or at its first term whose envelope is below tol*1e-3 (at most 59);
+    * contour (_contour_sum) in the band between, which is empty for
+      tol >= 1e-8.
 
-    * series, |z| < radius: terms k = 0..N, N the first k > 8 with
-      |z|^k |1/Gamma(beta*k + gam)| < 1e-22;
-    * asymptotic, (1/b) z^{(1-g)/b} e^{z^{1/b}} - sum_{k=1..K} z^{-k}/Gamma(g - b*k):
-      K ends at the point's own minimum of the sine-free term envelope,
-      or at its first term whose envelope is below tol*1e-3 (at most 59).
+    At tol = GRID_TOL the split is series/asymptotic at |z| = (ln 1/tol)^beta.
+    Both branches then stay within tol on the solver's whole range
+    beta in (1/2, 1]: on the ray, against the 50-digit oracle (62 radii up to
+    |z| = 30 for beta < 0.7, 60 above, and six within 2% of the crossover),
+    the worst relative error of E_beta and E_{beta,beta} is 1.2e-8 at
+    beta = 0.55, 1.6e-8 at 0.6, 2.4e-8 at 0.7 and 1.5e-8 at 0.85.
 
     Both orders are step functions of |z| read off scalar thresholds
-    (_grid_orders).  The points are sorted once by (branch, order); Horner's
+    (_grid_orders).  The points are sorted once by (route, order); Horner's
     rule, in z or in 1/z, then runs from the highest order down over a
     suffix of the sorted points that grows as the order falls, so each
-    point pays for its own order only.
+    point pays for its own order only.  A finite point whose value leaves
+    double range raises MLOverflowError.
     """
+    if not _EPS < tol < 1.0:
+        raise ValueError(f"Mittag-Leffler tolerance must lie in (1e-16, 1): got {tol}")
     z = np.ascontiguousarray(z, dtype=np.complex128)
     if beta == 1.0 and gam == 1.0:
-        return np.exp(z)  # E_1 = E_{1,1} = exp, as in _ml_point
-    zf = z.ravel()
-    absz = np.abs(zf)
-    key, scoef, acoef = _grid_orders(beta, gam, tol, absz)
-    nser = scoef.size
-    counts = np.bincount(key, minlength=nser + _ASYM_TERMS + 1)
-    perm = np.argsort(key, kind="stable")
-    # start[j]: the first sorted position whose key is >= j
-    start = np.concatenate(([0], np.cumsum(counts)))
-    nsmall = int(start[nser])
-    zs = zf[perm]
+        out = np.exp(z)  # E_1 = E_{1,1} = exp
+    else:
+        zf = z.ravel()
+        key, scoef, acoef = _grid_orders(beta, gam, tol, np.abs(zf))
+        nser = scoef.size
+        counts = np.bincount(key, minlength=nser + _ASYM_TERMS + 2)
+        perm = np.argsort(key, kind="stable")
+        # start[j]: the first sorted position whose key is >= j
+        start = np.concatenate(([0], np.cumsum(counts)))
+        # sorted positions: series below nsmall, asymptotics below nband, contour above
+        nsmall, nband = int(start[nser]), int(start[nser + _ASYM_TERMS + 1])
+        zs = zf[perm]
 
-    res = np.zeros(nsmall, dtype=np.complex128)
-    for k in range(nser - 1, -1, -1):
-        a = res[start[k]:]
-        a *= zs[start[k]:nsmall]
-        a += scoef[k]
-    zs[nsmall:] = _asymp_sum(beta, gam, zs[nsmall:], acoef, start[nser:] - nsmall)
-    zs[:nsmall] = res
-    out = np.empty_like(zf)
-    out[perm] = zs
-    return out.reshape(z.shape)
+        res = np.zeros(nsmall, dtype=np.complex128)
+        for k in range(nser - 1, -1, -1):
+            a = res[start[k]:]
+            a *= zs[start[k]:nsmall]
+            a += scoef[k]
+        if nband > nsmall:
+            zs[nsmall:nband] = _asymp_sum(beta, gam, zs[nsmall:nband], acoef, start[nser:] - nsmall)
+        if nband < zs.size:
+            zs[nband:] = _contour_sum(beta, gam, zs[nband:])
+        zs[:nsmall] = res
+        out = np.empty_like(zf)
+        out[perm] = zs
+        out = out.reshape(z.shape)
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out) & np.isfinite(z)
+        if bad.any():
+            raise MLOverflowError(
+                f"E_{{{beta:g},{gam:g}}}(z) leaves double range at {np.count_nonzero(bad)} "
+                f"point(s), the smallest with |z| = {np.abs(z[bad]).min():.6g}"
+            )
+    return out
 
 
 def ml_e_grid(beta: float, z: np.ndarray, tol: float = GRID_TOL) -> np.ndarray:
@@ -610,28 +449,23 @@ def ml_ee_grid(beta: float, z: np.ndarray, tol: float = GRID_TOL) -> np.ndarray:
     return _ml_grid(beta, beta, z, tol)
 
 
-def regime_switch_report(beta: float, params: MLParams | None = None, n: int = 32) -> dict:
-    """Measure series/asymptotics disagreement on a ring at the switch radius.
+def ml_e(beta: float, z: complex) -> complex:
+    """E_beta(z) on the sector |arg z| <= beta*pi/2, to 1e-12 relative."""
+    _check_sector(beta, z)
+    return complex(_ml_grid(beta, 1.0, np.array([z]), _POINT_TOL)[0])
 
-    Returns the worst relative mismatch of ml_e and ml_ee against the
-    oracle just below and just above series_radius.  A mismatch beyond
-    params.tol * 50 is reported as a failure flag rather than silently
-    accepted.
-    """
-    if params is None:
-        params = MLParams(beta=beta)
-    worst = 0.0
-    for fac in (0.995, 1.005):
-        r = params.series_radius * fac
-        for th in np.linspace(0.0, beta * math.pi / 2.0, n // 2):
-            z = r * cmath.exp(-1j * th)
-            for gam, f in ((1.0, ml_e), (beta, ml_ee)):
-                ref = ml_oracle(beta, z, gam, digits=60)
-                got = f(beta, z, params)
-                worst = max(worst, abs(got - ref) / abs(ref))
-    return {
-        "beta": beta,
-        "series_radius": params.series_radius,
-        "worst_rel_mismatch": worst,
-        "ok": bool(worst <= 50.0 * params.tol),
-    }
+
+def ml_ee(beta: float, z: complex) -> complex:
+    """E_{beta,beta}(z) on the sector |arg z| <= beta*pi/2, to 1e-12 relative."""
+    _check_sector(beta, z)
+    return complex(_ml_grid(beta, beta, np.array([z]), _POINT_TOL)[0])
+
+
+def _check_sector(beta: float, z: complex) -> None:
+    if beta == 1.0:
+        return  # E_1 = exp: the expansion is exact in the whole plane
+    if z != 0 and abs(cmath.phase(z)) > beta * math.pi / 2.0 + 1e-9:
+        raise ValueError(
+            f"argument off the validity sector: |arg z| = {abs(cmath.phase(z)):.4f} "
+            f"> beta*pi/2 = {beta * math.pi / 2.0:.4f}"
+        )

@@ -16,7 +16,6 @@ from fraclat.lattice import (
     discretize,
     field_from_bytes,
     field_to_bytes,
-    field_to_csv,
     filter_pi,
     idft,
     inject,
@@ -476,12 +475,3 @@ class TestSerialization:
         assert t == 0.75 and end == len(blob)
         assert back.grid.compatible(g)
         assert np.array_equal(back.values, u.values)
-
-    def test_csv(self, tmp_path):
-        g = LatticeGrid(h=0.2, n_points=8)
-        u = random_field(g, 15)
-        path = tmp_path / "field.csv"
-        field_to_csv(u, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,re,im"
-        assert len(lines) == 9

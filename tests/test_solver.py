@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fraclat.lattice import (
     LatticeField,
@@ -54,6 +55,21 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             ModelParams(alpha=1.5, beta=0.75)  # boundary itself is excluded
         ModelParams(alpha=1.5, beta=0.75 + 1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+        beta=st.floats(0.5, 1.0, exclude_min=True),
+    )
+    def test_admissibility_boundary(self, alpha, beta):
+        # alpha > (sigma+1)/2 with sigma = alpha/beta is beta > alpha/(2 alpha - 1)
+        edge = alpha / (2.0 * alpha - 1.0)
+        assume(abs(beta - edge) >= 1e-9)
+        if beta > edge:
+            ModelParams(alpha=alpha, beta=beta)
+        else:
+            with pytest.raises(ParameterError, match=r"alpha > \(sigma\+1\)/2"):
+                ModelParams(alpha=alpha, beta=beta)
 
     def test_alpha_beta_ranges(self):
         with pytest.raises(ParameterError, match="alpha"):

@@ -1,4 +1,4 @@
-"""Gamma and Mittag-Leffler evaluation against the arbitrary-precision oracle."""
+"""Mittag-Leffler evaluation against the arbitrary-precision oracle."""
 
 import cmath
 import math
@@ -9,54 +9,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import rgamma
 
 from fraclat import special
 from fraclat.special import (
-    MLParams,
-    PoleError,
-    gamma_real,
+    MLOverflowError,
     ml_e,
     ml_e_grid,
     ml_ee,
     ml_ee_grid,
     ml_oracle,
-    regime_switch_report,
 )
 
 RAY = lambda beta, r: complex(r) * cmath.exp(-1j * beta * math.pi / 2.0)
-
-
-class TestGammaReal:
-    def test_trivial_values(self):
-        assert gamma_real(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert gamma_real(0.5) == pytest.approx(1.7724538509055160, rel=1e-13)
-        # reflection formula territory
-        assert gamma_real(-0.5) == pytest.approx(-3.5449077018110320, rel=1e-13)
-
-    def test_accuracy_across_range(self):
-        # oracle: mpmath.gamma; x in [-170, 170], at least 0.05 away from poles
-        rng = np.random.default_rng(7)
-        xs = np.concatenate(
-            [
-                rng.uniform(0.1, 170.0, size=120),
-                rng.uniform(-170.0, -0.1, size=120),
-                np.array([0.1, 1.0 + 1e-8, 42.5, 169.9, -169.5 + 0.25]),
-            ]
-        )
-        for x in xs:
-            if abs(x - round(x)) < 0.05 and x < 0.5:
-                continue
-            ref = float(mp.gamma(x))
-            assert gamma_real(float(x)) == pytest.approx(ref, rel=1e-13), x
-
-    def test_integer_factorials(self):
-        for n in range(1, 20):
-            assert gamma_real(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-13)
-
-    def test_pole_raises(self):
-        for x in (0.0, -1.0, -7.0):
-            with pytest.raises(PoleError):
-                gamma_real(x)
 
 
 class TestMittagLefflerOracle:
@@ -226,10 +191,6 @@ class TestSectorInvariants:
             worst_c = max(worst_c, lhs / rhs)
         assert worst_c <= 2.0  # measured C is ~0.21
 
-    def test_regime_switch_consistency(self):
-        rep = regime_switch_report(0.8, n=8)
-        assert rep["ok"], rep
-
 
 def _reference_order(beta: float, gam: float, tol: float, r: float) -> int:
     """The truncation rules of the grid path applied term by term at |z| = r."""
@@ -237,7 +198,7 @@ def _reference_order(beta: float, gam: float, tol: float, r: float) -> int:
     if r < radius:
         kmax = min(int(3.5 * radius ** (1.0 / beta) / beta) + 30, 600) - 1
         for k in range(9, kmax):
-            if r**k * abs(special._recip_gamma_real(beta * k + gam)) < 1e-22:
+            if r**k * abs(rgamma(beta * k + gam)) < 1e-22:
                 return k
         return kmax
     prev = math.inf
@@ -270,10 +231,9 @@ class TestGridEvaluators:
         z = rs * cmath.exp(-1j * beta * math.pi / 2.0)
         ge = ml_e_grid(beta, z)
         gee = ml_ee_grid(beta, z)
-        params = MLParams(beta=beta)
         for i in range(rs.size):
-            assert ge[i] == pytest.approx(ml_e(beta, complex(z[i]), params), rel=5e-8)
-            assert gee[i] == pytest.approx(ml_ee(beta, complex(z[i]), params), rel=5e-8)
+            assert ge[i] == pytest.approx(ml_e(beta, complex(z[i])), rel=5e-8)
+            assert gee[i] == pytest.approx(ml_ee(beta, complex(z[i])), rel=5e-8)
 
     @pytest.mark.parametrize("beta", [0.55, 0.7, 0.85, 1.0])
     def test_grid_matches_oracle_on_the_ray(self, beta):
@@ -310,6 +270,11 @@ class TestGridEvaluators:
             for grid_f in (ml_e_grid, ml_ee_grid):
                 assert np.all(np.abs(grid_f(1.0, z) - ref) <= 1e-15 * np.abs(ref))
 
+    @pytest.mark.parametrize("tol", [1e-16, 1.0, math.nan])
+    def test_tolerance_out_of_range_rejected(self, tol):
+        with pytest.raises(ValueError, match=rf"tolerance .* got {tol}"):
+            ml_e_grid(0.8, np.array([1.0, 30.0]), tol=tol)
+
     # beta >= 0.6 keeps e^{|z|^{1/beta}} inside double range at |z| = 40, arg z = 0
     @settings(max_examples=40, deadline=None)
     @given(
@@ -323,13 +288,47 @@ class TestGridEvaluators:
         assert ml_ee_grid(beta, np.array([z]))[0] == pytest.approx(ml_ee(beta, z), rel=5e-8)
 
 
-class TestMLParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MLParams(beta=0.0)
-        with pytest.raises(ValueError):
-            MLParams(beta=0.8, series_radius=-1.0)
-        with pytest.raises(ValueError):
-            MLParams(beta=0.8, asym_order=1)
-        with pytest.raises(ValueError):
-            MLParams(beta=0.8, tol=0.0)
+class TestOneEvaluator:
+    # beta >= 0.6 keeps e^{|z|^{1/beta}} inside double range at |z| = 40, arg z = 0
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(0.6, 1.0),
+        r=st.floats(0.0, 40.0),
+        frac=st.floats(-1.0, 1.0),
+    )
+    def test_point_evaluators_match_oracle_in_sector(self, beta, r, frac):
+        z = complex(r * cmath.exp(1j * frac * beta * math.pi / 2.0))
+        assert ml_e(beta, z) == pytest.approx(ml_oracle(beta, z, 1.0, digits=50), rel=1e-11)
+        assert ml_ee(beta, z) == pytest.approx(ml_oracle(beta, z, beta, digits=50), rel=1e-11)
+
+    @pytest.mark.parametrize("beta", [0.6, 0.8, 0.95])
+    def test_pole_on_contour_node(self, beta):
+        # s* = z^{1/beta} on each node u = k h whose point of the parabola
+        # lies in the sector (|u| <= 1); without the half-step shift the
+        # subtracted pole term cancels the integrand on that node
+        n = special._CONTOUR_N
+        mu, h = math.pi * n / 12.0, 3.0 / n
+        for k in range(-n, n + 1):
+            if abs(k * h) > 1.0:
+                continue
+            z = (mu * (1.0 + 1j * k * h) ** 2) ** beta
+            for gam in (1.0, beta):
+                got = special._contour_sum(beta, gam, np.array([z]))[0]
+                assert got == pytest.approx(ml_oracle(beta, z, gam, digits=50), rel=1e-12), k
+
+    def test_criterion_1_points_make_no_mpmath_call(self, monkeypatch):
+        calls = []
+        series_mp = special._ml_series_mp
+        monkeypatch.setattr(special, "_ml_series_mp", lambda *a: calls.append(a) or series_mp(*a))
+        for beta in (0.6, 0.75, 0.8, 0.9):
+            for r in np.linspace(0.0, 50.0, 50):
+                ml_e(beta, RAY(beta, r))
+                ml_ee(beta, RAY(beta, r))
+        assert calls == []
+
+    def test_overflow_is_named(self):
+        # E_0.55(40) ~ e^{40^{1/0.55}}/0.55 = e^{815}/0.55 leaves double range
+        with pytest.raises(MLOverflowError, match=r"E_\{0\.55,1\}.* 1 point.*\|z\| = 40$"):
+            ml_e_grid(0.55, np.array([1.0, 40.0 + 0j]))
+        with pytest.raises(MLOverflowError, match=r"E_\{0\.55,1\}.*\|z\| = 40$"):
+            ml_e(0.55, 40.0)
