@@ -27,6 +27,7 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft as sfft
 
 
 class GridMismatchError(ValueError):
@@ -238,16 +239,21 @@ def norm_lp(field: LatticeField, p) -> float:
     return float((field.grid.h * np.sum(a**p)) ** (1.0 / p))
 
 
+def _fft_freqs(grid: LatticeGrid) -> np.ndarray:
+    """The frequencies of grid.freqs() in FFT order, the order of an unshifted FFT."""
+    return 2.0 * math.pi * np.fft.fftfreq(grid.n_points)
+
+
 def _sobolev_squares(coeffs: np.ndarray, grid: LatticeGrid, s: float) -> np.ndarray:
-    """Squared H^s_h norms from DFT coefficients, one per row."""
-    xi = grid.freqs()
+    """Squared H^s_h norms from unshifted DFT coefficients, one per row."""
+    xi = _fft_freqs(grid)
     weight = 1.0 + (np.abs(xi) / grid.h) ** (2.0 * s) if s != 0.0 else np.ones_like(xi)
     return grid.h / grid.n_points * np.sum(weight * np.abs(coeffs) ** 2, axis=-1)
 
 
 def norm_sobolev(field: LatticeField, s: float) -> float:
     """H^s_h norm: quadrature of (1 + h^{-2s} |xi|^{2s}) |u_hat|^2."""
-    return float(math.sqrt(_sobolev_squares(dft_rows(field.values), field.grid, s)))
+    return float(math.sqrt(_sobolev_squares(sfft.fft(field.values), field.grid, s)))
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -259,9 +265,9 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 
 def _smoothing(coeffs: np.ndarray, grid: LatticeGrid, times: np.ndarray, delta: float) -> float:
-    """norm_smoothing from the (nodes, sites) DFT coefficients of a trajectory."""
-    mult = (1.0 + np.abs(grid.freqs()) / grid.h) ** delta
-    v = idft_rows(coeffs * mult)
+    """norm_smoothing from the unshifted (nodes, sites) DFT coefficients of a trajectory."""
+    mult = (1.0 + np.abs(_fft_freqs(grid)) / grid.h) ** delta
+    v = sfft.ifft(coeffs * mult, axis=-1, overwrite_x=True)
     tw = _trapezoid_weights(np.asarray(times, dtype=float))
     return float(np.sqrt(np.sum(tw[:, None] * np.abs(v) ** 2, axis=0).max()))
 
@@ -272,7 +278,7 @@ def norm_smoothing(traj, delta: float) -> float:
     Per node the spectral multiplier (1 + |xi|/h)^delta is applied,
     then the time-L^2 per site (trapezoid rule), then the sup over sites.
     """
-    return _smoothing(dft_rows(traj.values), traj.grid, traj.times, delta)
+    return _smoothing(sfft.fft(traj.values, axis=-1), traj.grid, traj.times, delta)
 
 
 def norm_maximal(traj, q: float) -> float:
@@ -281,13 +287,21 @@ def norm_maximal(traj, q: float) -> float:
     return norm_lp(LatticeField(grid=traj.grid, values=sup.astype(np.complex128)), q)
 
 
-def lambda_norm(traj, params) -> NormReport:
+def lambda_norm(traj, params, *, spectrum: np.ndarray | None = None) -> NormReport:
     """Contraction norm of a SolutionTrajectory.
 
     eta1 smoothing (exponent s+sigma-alpha), eta2 energy sup_t H^s,
     eta3 maximal; one batched DFT of the nodes serves eta1 and eta2.
+    ``spectrum`` may pass that DFT in, the unshifted fft(traj.values, axis=-1),
+    when the caller already holds it.
+
+    Each eta is a sup or an l^q over the sites of a per-site quantity, and
+    the DFT of a cyclically rolled field differs only by a unimodular
+    factor per mode, so the report is unchanged by a cyclic roll of the
+    sites: a trajectory stored in FFT site order (np.fft.ifftshift of the
+    site axis) has the same norms as in site order.
     """
-    coeffs = dft_rows(traj.values)
+    coeffs = sfft.fft(traj.values, axis=-1) if spectrum is None else spectrum
     eta1 = _smoothing(coeffs, traj.grid, traj.times, params.s + params.sigma - params.alpha)
     eta2 = float(np.sqrt(_sobolev_squares(coeffs, traj.grid, params.s).max()))
     eta3 = norm_maximal(traj, 2.0 * (params.p - 1))

@@ -27,6 +27,18 @@ well-posedness theory; the residual is measured in the contraction norm
 Lambda_T.  An iterate that stops being finite raises NonContractionError
 like a growing residual does.  The continuum reference solver is the
 identical pipeline with the multiplier |xi|^alpha and no filtering.
+
+The loop works in FFT order: the datum's sites are rolled by ifftshift
+once, the tables are gathered straight into the mode order of an
+unshifted FFT, and the finished trajectory is rolled back by fftshift
+once, so no sweep shifts anything.  The filter stays the same operator
+because even sites stay at even positions under that roll when
+n_points % 4 == 0, which a filtered solve requires.  The memory kernel is
+stored mode-major, so both time-axis FFTs run along contiguous rows, a
+block of modes at a time.  The residual's spectrum is the difference of
+two spectra the sweep already holds, and Lambda_T is invariant under the
+roll, so a sweep costs three site-axis FFTs: the density, the new iterate
+and the smoothing part of the residual norm.
 """
 
 from __future__ import annotations
@@ -44,13 +56,10 @@ from .lattice import (
     LatticeField,
     LatticeGrid,
     SpectralField,
-    dft_rows,
     discretize,
     filter_pi,
     idft,
-    idft_rows,
     lambda_norm,
-    restrict,
 )
 from .special import GRID_TOL, ml_e_grid, ml_ee_grid
 from .symbol import SymbolConfig, w_on_dft_grid
@@ -230,21 +239,30 @@ class SymbolTable:
         return ml_e_grid(self.params.beta, z, tol=self.ml_tol)[self.mode_index]
 
     def propagator_table(self, timegrid: TimeGrid) -> np.ndarray:
-        """(m_steps+1, n_points) multipliers across all time nodes."""
+        """(m_steps+1, n_points) multipliers across all time nodes, modes in FFT order.
+
+        Column j belongs to the mode of an unshifted np.fft.fft, that is,
+        to np.fft.ifftshift(grid.freqs())[j].
+        """
         b = self.params.beta
         tpow = timegrid.times**b
         z = self.params.phase_unit * np.multiply.outer(tpow, self.distinct_mu).astype(np.complex128)
-        return ml_e_grid(b, z, tol=self.ml_tol)[:, self.mode_index]
+        # take, unlike fancy indexing, keeps the (nodes, modes) gather row-major
+        return ml_e_grid(b, z, tol=self.ml_tol).take(np.fft.ifftshift(self.mode_index), axis=-1)
 
     def duhamel_tables(self, timegrid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-        """Product-integration weights A, B of shape (m_steps, n_points).
+        """Product-integration weights A, B of shape (m_steps, n_points), modes in FFT order.
 
         Row l-1 holds the lag-l pair: the integral of the kernel against
         the linear density over [t_j, t_{j+1}] with t_n - t_j = l dt is
-        A[l-1]*g(t_j) + B[l-1]*g(t_{j+1}).
+        A[l-1]*g(t_j) + B[l-1]*g(t_{j+1}).  Columns are ordered as in
+        propagator_table.
         """
         A, B = _duhamel_weight_tables(timegrid, self.distinct_mu, self.params, self.ml_tol)
-        return A[:, self.mode_index], B[:, self.mode_index]
+        fft_index = np.fft.ifftshift(self.mode_index)
+        # fancy indexing leaves them column-major: the mode-major layout
+        # _FoldedKernel keeps, which then needs no transposing copy
+        return A[:, fft_index], B[:, fft_index]
 
 
 def _duhamel_nodes(timegrid: TimeGrid, beta: float, n_nodes: int = 8):
@@ -319,12 +337,23 @@ def _duhamel_weight_tables(
 # ---------------------------------------------------------------------------
 
 
+def _check_filter_grid(n_points: int) -> None:
+    """The filter acts on the even sites, the sub-lattice of the coarse grid.
+
+    They sit at even positions in site order, and at even positions in FFT
+    order too, only when n_points % 4 == 0.
+    """
+    if n_points % 4:
+        raise GridMismatchError(
+            f"the filter needs n_points divisible by 4: got n_points = {n_points}"
+        )
+
+
 def prepare_initial(f, grid: LatticeGrid, use_filter: bool) -> LatticeField:
     """Initial datum: filtered (discretize on 2h, then interpolate) or raw."""
     if not use_filter:
         return discretize(f, grid)
-    if grid.n_points % 4:
-        raise GridMismatchError("filtered data needs n_points divisible by 4")
+    _check_filter_grid(grid.n_points)
     coarse = LatticeGrid(h=2.0 * grid.h, n_points=grid.n_points // 2)
     return filter_pi(discretize(f, coarse))
 
@@ -345,24 +374,27 @@ def apply_nonlinearity(field: LatticeField, params: ModelParams) -> LatticeField
     Filtered path: sign * Pi_h R_h (|u|^{p-1} u); with use_filter off the
     pointwise nonlinearity is returned as-is (failure-mode experiments).
     """
-    u = field.values
-    g = params.sign * np.abs(u) ** (params.p - 1) * u
-    out = LatticeField(grid=field.grid, values=g)
-    if params.use_filter:
-        out = filter_pi(restrict(out))
-    return out
+    return LatticeField(grid=field.grid, values=_batch_nonlinearity(field.values, params))
 
 
 def _batch_nonlinearity(U: np.ndarray, params: ModelParams) -> np.ndarray:
-    """apply_nonlinearity over the rows of a (nodes, sites) array."""
+    """The nonlinearity of apply_nonlinearity on one field or on every row of (nodes, sites).
+
+    The filter keeps the even positions and averages the odd ones from
+    their cyclic neighbours, which is Pi_h R_h in site order and in FFT
+    order alike (n_points % 4 == 0).
+    """
     G = params.sign * np.abs(U) ** (params.p - 1) * U
     if params.use_filter:
-        even = G[:, ::2]
-        out = np.empty_like(G)
-        out[:, ::2] = even
-        out[:, 1::2] = 0.5 * (even + np.roll(even, -1, axis=1))
-        return out
+        _check_filter_grid(U.shape[-1])
+        even = G[..., ::2]
+        G[..., 1::2] = 0.5 * (even + np.roll(even, -1, axis=-1))
     return G
+
+
+# modes per block of _FoldedKernel.convolve: a block's (modes, P) buffer stays
+# in cache and below malloc's mmap threshold, where one (K, P) buffer does not
+_CONV_BLOCK = 256
 
 
 class _FoldedKernel:
@@ -372,26 +404,39 @@ class _FoldedKernel:
     node k, the weight C[n-k] with C[m] = A[m-1] + B[m] (A[-1] = B[M] = 0),
     except that the B part has no interval left of t_0: the k = 0 term
     carries A only.  Hence D[n] = (C * G)[n] - B[n] G[0].
+
+    The spectrum and B are stored mode-major, (K, P) and (K, M): each
+    mode's time series is a contiguous row, so both time-axis FFTs run in
+    place along the last axis.  convolve works through blocks of modes,
+    transposing G in and D out block by block.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray):
         M, K = A.shape
-        # P >= 2M keeps rows 1..M free of wrap-around; row 0 is set, not read
+        # P >= 2M keeps lags 1..M free of wrap-around; lag 0 is set, not read
         self.size = sfft.next_fast_len(2 * M)
-        C = np.zeros((self.size, K), dtype=np.complex128)
-        C[:M] = B
-        C[1 : M + 1] += A
-        self.spectrum = sfft.fft(C, axis=0, overwrite_x=True)
-        self.B = B
+        C = np.zeros((K, self.size), dtype=np.complex128)
+        C[:, :M] = B.T
+        C[:, 1 : M + 1] += A.T
+        self.spectrum = sfft.fft(C, axis=-1, overwrite_x=True)
+        self.Bt = np.ascontiguousarray(B.T)
 
     def convolve(self, G: np.ndarray) -> np.ndarray:
         """D of shape (M+1, K) for the density G of shape (M+1, K); D[0] = 0."""
-        M = self.B.shape[0]
-        X = sfft.fft(G, n=self.size, axis=0)
-        X *= self.spectrum
-        D = sfft.ifft(X, axis=0, overwrite_x=True)[: M + 1]
+        K, M = self.Bt.shape
+        D = np.empty_like(G)
+        buf = np.empty((min(_CONV_BLOCK, K), self.size), dtype=np.complex128)
+        for lo in range(0, K, _CONV_BLOCK):
+            hi = min(lo + _CONV_BLOCK, K)
+            X = buf[: hi - lo]
+            X[:, : M + 1] = G[:, lo:hi].T
+            X[:, M + 1 :] = 0.0
+            X = sfft.fft(X, axis=-1, overwrite_x=True)
+            X *= self.spectrum[lo:hi]
+            X = sfft.ifft(X, axis=-1, overwrite_x=True)
+            X[:, 1:M] -= self.Bt[lo:hi, 1:] * G[0, lo:hi, None]
+            D[:, lo:hi] = X[:, : M + 1].T
         D[0] = 0.0
-        D[1:M] -= self.B[1:] * G[0]
         return D
 
 
@@ -421,8 +466,9 @@ def solve(
     nonlinear=False it makes the density u-independent (manufactured
     time-refinement studies) and the fixed point is reached in one sweep.
 
-    Raises ValueError for an initial field that is not finite, and
-    NonContractionError when an iterate stops being finite or residuals
+    Raises ValueError for an initial field that is not finite,
+    GridMismatchError for a filtered nonlinear solve whose n_points is not
+    divisible by 4, and NonContractionError when an iterate stops being finite or residuals
     fail to decrease on three consecutive sweeps: the signal that T
     exceeds the contraction horizon.
     """
@@ -440,53 +486,76 @@ def solve(
             f"solve: the initial field is not finite at {bad.size} of {grid.n_points} "
             f"sites (site {bad[0]} holds {u0.values[bad[0]]})"
         )
-
-    def trajectory(U: np.ndarray, residuals: list[float] | None = None) -> SolutionTrajectory:
-        return SolutionTrajectory(timegrid=timegrid, grid=grid, values=U, residuals=residuals or [])
-
-    table = SymbolTable(grid, params, kind=symbol_source, ml_tol=ml_tol)
-    LIN = table.propagator_table(timegrid) * dft_rows(u0.values)
-    lin_phys = idft_rows(LIN)
-    lin_phys[0] = u0.values  # t = 0 multiplier is exactly 1
-
     # the continuum reference carries no lattice filter in its nonlinearity
     run_params = replace(params, use_filter=False) if symbol_source == "continuum" else params
+    if nonlinear and run_params.use_filter:
+        _check_filter_grid(grid.n_points)
+
+    # the loop runs in FFT order: sites rolled by ifftshift, modes as an
+    # unshifted FFT leaves them; the trajectory is rolled back once at the end
+    v0 = np.fft.ifftshift(u0.values)
+
+    def trajectory(U: np.ndarray, residuals: list[float] | None = None) -> SolutionTrajectory:
+        return SolutionTrajectory(
+            timegrid=timegrid, grid=grid, values=np.fft.fftshift(U, axes=-1), residuals=residuals or []
+        )
+
+    def fft_order(U: np.ndarray) -> SolutionTrajectory:
+        # sites in FFT order: lambda_norm is invariant under the roll
+        return SolutionTrajectory(timegrid=timegrid, grid=grid, values=U)
+
+    table = SymbolTable(grid, params, kind=symbol_source, ml_tol=ml_tol)
+    LIN = table.propagator_table(timegrid)
+    LIN *= sfft.fft(v0)
+    lin_phys = sfft.ifft(LIN, axis=-1)
+    lin_phys[0] = v0  # t = 0 multiplier is exactly 1
 
     if not nonlinear and forcing is None:
         return trajectory(lin_phys)
 
-    kernel = _FoldedKernel(*table.duhamel_tables(timegrid))
+    # the memory term carries the phase i^{-beta}: fold it into the weights
     unit = params.phase_unit
+    kernel = _FoldedKernel(*(unit * w for w in table.duhamel_tables(timegrid)))
 
     force_hat = None
     if forcing is not None:
         F = np.stack([np.asarray(forcing(t), dtype=np.complex128) for t in timegrid.times])
-        force_hat = dft_rows(F)
+        force_hat = sfft.fft(np.fft.ifftshift(F, axes=-1), axis=-1, overwrite_x=True)
 
-    U = lin_phys
+    U, U_hat = lin_phys, LIN
     residuals: list[float] = []
     first_norm = None
     bad_streak = 0
     for sweep in range(1, k_max + 1):
         if nonlinear:
-            G_hat = dft_rows(_batch_nonlinearity(U, run_params))
+            G_hat = sfft.fft(_batch_nonlinearity(U, run_params), axis=-1, overwrite_x=True)
             if force_hat is not None:
                 G_hat += force_hat
         else:
             G_hat = force_hat
-        U_new = idft_rows(LIN + unit * kernel.convolve(G_hat))
-        U_new[0] = u0.values  # D[0] = 0: node 0 is the datum, kept exact
+        U_new_hat = kernel.convolve(G_hat)
+        del G_hat  # free the density before the norms allocate
+        U_new_hat += LIN
+        U_new = sfft.ifft(U_new_hat, axis=-1)
+        U_new[0] = v0  # D[0] = 0: node 0 is the datum, kept exact
         if not np.isfinite(U_new).all():
             raise NonContractionError(
                 f"Picard sweep {sweep} produced a non-finite iterate; "
                 f"shrink the horizon T = {timegrid.T:g}",
                 residuals,
             )
-        res = lambda_norm(trajectory(U_new - U), params).lam
+        # the step U - U_new and its spectrum, in place (every eta is
+        # sign-blind); LIN, the first previous spectrum, stays intact
+        if U_hat is LIN:
+            U_hat = LIN - U_new_hat
+        else:
+            U_hat -= U_new_hat
+        U -= U_new
+        res = lambda_norm(fft_order(U), params, spectrum=U_hat).lam
         residuals.append(res)
         if first_norm is None:
-            first_norm = lambda_norm(trajectory(U_new), params).lam
-        U = U_new
+            first_norm = lambda_norm(fft_order(U_new), params, spectrum=U_new_hat).lam
+        U, U_hat = U_new, U_new_hat
         if forcing is not None and not nonlinear:
             break  # u-independent source: fixed point after one sweep
         if res <= tol * max(first_norm, 1e-300):

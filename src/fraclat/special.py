@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import cmath
+import functools
 import threading
 
 import numpy as np
@@ -256,21 +257,37 @@ def _log_env_recip_gamma(g: float) -> float:
     return math.lgamma(1.0 - g) - math.log(math.pi)
 
 
-def _series_plan(beta: float, gam: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
+def _route_radii(beta: float, tol: float) -> tuple[float, float]:
+    """|z| below which a point takes the series, and from which the asymptotics."""
+    rho_a = math.log(1.0 / tol)
+    return min(math.log(tol / _EPS), rho_a) ** beta, rho_a**beta
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def _series_plan(beta: float, gam: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients 1/Gamma(beta*k + gam), k = 0..kmax, and the order thresholds.
 
     A point stops after the first k > 8 with |z|^k |c_k| < _SERIES_CUT, that
     is, after the first k whose radius (_SERIES_CUT/|c_k|)^{1/k} exceeds |z|.
     The running maximum of those radii (k = 9..kmax) is sorted, so the
-    order is 9 plus a searchsorted.
+    order is 9 plus a searchsorted.  Cached per (beta, gam, tol); the
+    arrays are shared, so they are read-only.
     """
+    radius = _route_radii(beta, tol)[0]
     kmax = min(int(3.5 * radius ** (1.0 / beta) / beta) + 30, 600) - 1
     coef = _rgamma(beta * np.arange(kmax + 1) + gam)
     with np.errstate(divide="ignore"):
         radii = np.exp((math.log(_SERIES_CUT) - np.log(np.abs(coef[9:]))) / np.arange(9, kmax + 1))
-    return coef, np.maximum.accumulate(radii)
+    return _frozen(coef, np.maximum.accumulate(radii))
 
 
+@functools.lru_cache(maxsize=64)
 def _asymp_plan(beta: float, gam: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients 1/Gamma(gam - beta*k), k = 0..59, and the order thresholds.
 
@@ -279,14 +296,15 @@ def _asymp_plan(beta: float, gam: float, tol: float) -> tuple[np.ndarray, np.nda
     k-1's while |z| >= exp(L_k - L_{k-1}) (k >= 2; term 1 always counts),
     and it is below tol*1e-3 once |z| > exp((L_k - ln(tol*1e-3))/k).  The
     running maximum of the first radii and the running minimum of the
-    second are monotone, so both counts are searchsorteds.
+    second are monotone, so both counts are searchsorteds.  Cached per
+    (beta, gam, tol); the arrays are shared, so they are read-only.
     """
     ks = np.arange(_ASYM_TERMS + 1)
     coef = _rgamma(gam - beta * ks)
     logenv = np.array([_log_env_recip_gamma(gam - beta * k) for k in ks])
     rising = np.exp(np.maximum.accumulate(np.diff(logenv)[1:]))  # k = 2..59
     settled = np.exp(np.minimum.accumulate((logenv[1:] - math.log(tol * 1e-3)) / ks[1:]))
-    return coef, rising, settled[::-1]  # ascending: k = 59..1
+    return _frozen(coef, rising, settled[::-1])  # ascending: k = 59..1
 
 
 def _grid_orders(
@@ -300,10 +318,8 @@ def _grid_orders(
     len(series_coef) + 60, past every asymptotic key, in the contour band
     between.  So sorting by key groups the points by route, then by order.
     """
-    rho_a = math.log(1.0 / tol)
-    r_series = min(math.log(tol / _EPS), rho_a) ** beta
-    r_asymp = rho_a**beta
-    scoef, sradii = _series_plan(beta, gam, r_series)
+    r_series, r_asymp = _route_radii(beta, tol)
+    scoef, sradii = _series_plan(beta, gam, tol)
     acoef, rising, settled = _asymp_plan(beta, gam, tol)
     key = np.full(absz.shape, scoef.size + _ASYM_TERMS + 1, dtype=np.int16)
     small = absz < r_series

@@ -34,6 +34,21 @@ width = 2.0
 """
 
 
+SMALL_CONTINUUM = """
+experiment = continuum
+alpha = 1.5
+beta = 0.85
+extent = 12.8
+h_list = 0.4, 0.2, 0.1
+h_ref = 0.025
+T = 0.4
+m_steps = 16
+amplitude = 0.8
+initial = gaussian
+width = 2.0
+"""
+
+
 class TestParseConfig:
     def test_minimal_valid(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL_MASS))
@@ -140,6 +155,15 @@ width = 2.0
         csv_lines = (out / "continuum_data.csv").read_text().splitlines()
         assert csv_lines[0] == "h,err_hs,err_l2,err_lambda"
         assert len(csv_lines) == 4
+
+    def test_continuum_csv_same_for_any_worker_count(self, tmp_path):
+        cfg = parse_config(write(tmp_path, SMALL_CONTINUUM))
+        out1, out2 = tmp_path / "w1", tmp_path / "w2"
+        assert run(cfg, out1, workers=1) == 0
+        assert run(cfg, out2, workers=2) == 0
+        csv1 = (out1 / "continuum_data.csv").read_bytes()
+        assert csv1 == (out2 / "continuum_data.csv").read_bytes()
+        assert len(csv1.splitlines()) == 4
 
     def test_solve_run_writes_trajectory(self, tmp_path):
         cfg_text = """

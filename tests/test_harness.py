@@ -194,6 +194,13 @@ class TestWorkers:
         for a, b in zip(r1["entries"], r2["entries"]):
             assert a["ratio"] == b["ratio"]
 
+    def test_smoothing_matches_serial(self):
+        params = ModelParams(alpha=1.5, beta=0.85)
+        kw = dict(extent=12.8, T=0.5, n_times=8)
+        serial = run_smoothing_experiment(params, [0.2, 0.1, 0.05], workers=1, **kw)
+        threaded = run_smoothing_experiment(params, [0.2, 0.1, 0.05], workers=2, **kw)
+        assert threaded == serial
+
     def test_continuum_study_matches_serial(self):
         # workers = 2 runs the reference beside the h-sweep; the report is
         # the serial one, value for value

@@ -2,23 +2,32 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fraclat.lattice import (
+    GridMismatchError,
     LatticeField,
     LatticeGrid,
     SpectralField,
     dft,
+    dft_rows,
+    discretize,
+    filter_pi,
     idft,
+    idft_rows,
+    lambda_norm,
     norm_lp,
+    restrict,
 )
 from fraclat.solver import (
     ModelParams,
     NonContractionError,
     ParameterError,
+    SolutionTrajectory,
     SymbolTable,
     TimeGrid,
     apply_nonlinearity,
@@ -28,11 +37,19 @@ from fraclat.solver import (
     solve,
     solve_continuum_reference,
 )
-from fraclat.solver import _FoldedKernel, _batch_nonlinearity
+from fraclat.solver import _CONV_BLOCK, _FoldedKernel, _batch_nonlinearity, _duhamel_weight_tables
+from fraclat.special import ml_e_grid
 
 
 def gauss(x):
     return np.exp(-((np.asarray(x) / 2.0) ** 2)).astype(complex)
+
+
+def chirped(x):
+    # shifted, chirped complex Gaussian: neither even nor real, so a reversed
+    # site or mode order changes the result
+    x = np.asarray(x)
+    return 0.7 * np.exp(-(((x - 1.3) / 1.6) ** 2) + 0.9j * x + 0.15j * x**2)
 
 
 def zeros(x):
@@ -181,10 +198,10 @@ class TestDuhamelWeights:
 
     def test_convolution_matches_direct_sum(self):
         # the folded kernel against the O(M^2) double sum; a large G[0] makes
-        # the B[n] G[0] correction visible, from n = 1 to n = M
+        # the B[n] G[0] correction visible, from n = 1 to n = M; K past two
+        # mode blocks reuses the block buffer
         rng = np.random.default_rng(0)
-        K = 5
-        for M in (1, 2, 12, 13):
+        for M, K in ((1, 5), (2, 5), (12, 5), (13, 5), (13, 2 * _CONV_BLOCK + 3)):
             A = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
             B = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
             G = rng.normal(size=(M + 1, K)) + 1j * rng.normal(size=(M + 1, K))
@@ -244,10 +261,15 @@ class TestSymbolTable:
         tab = SymbolTable(grid, params, kind=kind)
         z = params.phase_unit * np.multiply.outer(tg.times**params.beta, tab.mu)
         full = ml_e_grid(params.beta, z.astype(complex), tol=tab.ml_tol)
+        assert np.abs(tab.propagator_multiplier(float(tg.times[5])) - full[5]).max() <= tab.ml_tol
+        # the tables are in FFT mode order, the order of an unshifted np.fft.fft
+        full = np.fft.ifftshift(full, axes=-1)
         prop = tab.propagator_table(tg)
         assert np.abs(prop - full).max() <= tab.ml_tol * np.abs(full).max()
-        assert np.abs(tab.propagator_multiplier(float(tg.times[5])) - full[5]).max() <= tab.ml_tol
-        A_full, B_full = _duhamel_weight_tables(tg, tab.mu, params, tab.ml_tol)
+        A_full, B_full = (
+            np.fft.ifftshift(w, axes=-1)
+            for w in _duhamel_weight_tables(tg, tab.mu, params, tab.ml_tol)
+        )
         A, B = tab.duhamel_tables(tg)
         for got, ref in ((A, A_full), (B, B_full)):
             assert np.abs(got - ref).max() <= tab.ml_tol * np.abs(ref).max()
@@ -307,7 +329,16 @@ class TestApplyNonlinearity:
         batch = _batch_nonlinearity(U, params)
         for i in range(3):
             single = apply_nonlinearity(LatticeField(grid=grid, values=U[i]), params)
+            pointwise = LatticeField(grid=grid, values=-np.abs(U[i]) ** 2 * U[i])
             assert np.abs(batch[i] - single.values).max() < 1e-14
+            assert np.abs(batch[i] - filter_pi(restrict(pointwise)).values).max() < 1e-14
+
+    def test_filter_needs_n_divisible_by_4(self):
+        # with n_points % 4 == 2 the even positions are the odd sites: refused
+        grid = LatticeGrid(h=0.4, n_points=18)
+        u = LatticeField(grid=grid, values=np.ones(18, dtype=complex))
+        with pytest.raises(GridMismatchError, match="n_points = 18"):
+            apply_nonlinearity(u, ModelParams(alpha=1.5, beta=0.85))
 
     def test_unfiltered_pointwise(self):
         grid = LatticeGrid(h=0.2, n_points=16)
@@ -410,6 +441,17 @@ class TestSolve:
             worst[T] = max(traj.residual_ratios[:3])  # early sweeps set the rate
         assert worst[0.2] < worst[0.4] < worst[0.8] < 1.0
 
+    def test_filter_parity_rejected_up_front(self):
+        params = ModelParams(alpha=1.5, beta=0.85)
+        grid = LatticeGrid(h=0.4, n_points=18)
+        tg = TimeGrid(T=0.2, m_steps=8)
+        u0 = discretize(chirped, grid)
+        with pytest.raises(GridMismatchError, match="n_points = 18"):
+            solve(params, grid, tg, None, initial_field=u0)
+        # unfiltered, or linear, the same grid is fine
+        solve(replace(params, use_filter=False), grid, tg, None, initial_field=u0)
+        solve(params, grid, tg, None, initial_field=u0, nonlinear=False)
+
     def test_non_finite_initial_field_rejected(self):
         params = ModelParams(alpha=1.5, beta=0.85)
         grid = LatticeGrid(h=0.2, n_points=64)
@@ -507,3 +549,90 @@ class TestContinuumReference:
         m0 = norm_lp(traj.snapshot(0), 2)
         mT = norm_lp(traj.snapshot(-1), 2)
         assert abs(mT - m0) / m0 < 1e-6
+
+
+def _site_order_reference(params, grid, tg, u0, kind, nonlinear=True, forcing=None, tol=1e-10):
+    """The Picard loop in site order: dft_rows/idft_rows, per-mode tables, a direct memory sum."""
+    tab = SymbolTable(grid, params, kind=kind)
+    z = params.phase_unit * np.multiply.outer(tg.times**params.beta, tab.mu).astype(complex)
+    LIN = ml_e_grid(params.beta, z, tol=tab.ml_tol) * dft_rows(u0)
+    A, B = _duhamel_weight_tables(tg, tab.mu, params, tab.ml_tol)
+    filtered = params.use_filter and kind == "lattice"
+
+    def density(U):
+        G = params.sign * np.abs(U) ** (params.p - 1) * U
+        if filtered:
+            G = np.stack([filter_pi(restrict(LatticeField(grid=grid, values=g))).values for g in G])
+        return dft_rows(G)
+
+    def memory(G):
+        D = np.zeros_like(G)
+        for n in range(1, tg.m_steps + 1):
+            for l in range(1, n + 1):
+                D[n] += A[l - 1] * G[n - l] + B[l - 1] * G[n - l + 1]
+        return D
+
+    F = 0.0 if forcing is None else dft_rows(np.stack([forcing(t) for t in tg.times]))
+    U = idft_rows(LIN)
+    U[0] = u0
+    residuals, first = [], None
+    for _ in range(60):
+        G = (density(U) if nonlinear else 0.0) + F
+        U_new = idft_rows(LIN + params.phase_unit * memory(G))
+        U_new[0] = u0
+        residuals.append(lambda_norm(SolutionTrajectory(tg, grid, U_new - U), params).lam)
+        if first is None:
+            first = lambda_norm(SolutionTrajectory(tg, grid, U_new), params).lam
+        U = U_new
+        if not nonlinear or residuals[-1] <= tol * first:
+            break
+    return U, residuals
+
+
+class TestSiteOrder:
+    """solve against a site-order reference sweep, on data with no symmetry."""
+
+    @pytest.mark.parametrize("case", ["filtered-lattice", "continuum", "forced-linear"])
+    def test_matches_site_order_reference(self, case):
+        params = ModelParams(alpha=1.5, beta=0.85, sign=-1)
+        tg = TimeGrid(T=0.3, m_steps=16)
+        kw = {}
+        if case == "continuum":
+            grid = LatticeGrid(h=0.2, n_points=64)
+            kind, u0 = "continuum", discretize(chirped, grid).values
+        else:
+            grid = LatticeGrid(h=0.4, n_points=32)
+            kind, u0 = "lattice", prepare_initial(chirped, grid, True).values
+        if case == "forced-linear":
+            psi = chirped(grid.sites() + 0.7)
+            kw = dict(nonlinear=False, forcing=lambda t: t**params.beta * psi)
+        traj = solve(params, grid, tg, chirped, symbol_source=kind, **kw)
+        ref, ref_res = _site_order_reference(params, grid, tg, u0, kind, **kw)
+        assert np.abs(traj.values - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert len(traj.residuals) == len(ref_res) >= (1 if kw else 3)
+        assert traj.residuals == pytest.approx(ref_res, rel=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([8, 12, 16, 32]),
+        nodes=st.integers(3, 9),
+        shift=st.integers(-40, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_lambda_norm_roll_and_sign_blind(self, n, nodes, shift, seed):
+        # the solver measures residuals in FFT site order, as U - U_new, and
+        # passes in the spectrum it already holds
+        params = ModelParams(alpha=1.5, beta=0.85)
+        grid = LatticeGrid(h=0.3, n_points=n)
+        tg = TimeGrid(T=0.5, m_steps=nodes - 1)
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(nodes, n)) + 1j * rng.normal(size=(nodes, n))
+        rep = lambda_norm(SolutionTrajectory(tg, grid, values), params)
+        rolled = lambda_norm(SolutionTrajectory(tg, grid, np.roll(values, shift, axis=-1)), params)
+        for a, b in ((rep.eta1, rolled.eta1), (rep.eta2, rolled.eta2), (rep.eta3, rolled.eta3)):
+            assert b == pytest.approx(a, rel=1e-12)
+        assert lambda_norm(SolutionTrajectory(tg, grid, -values), params) == rep
+        given_spectrum = lambda_norm(
+            SolutionTrajectory(tg, grid, values), params, spectrum=np.fft.fft(values, axis=-1)
+        )
+        assert given_spectrum == rep

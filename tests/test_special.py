@@ -270,6 +270,21 @@ class TestGridEvaluators:
             for grid_f in (ml_e_grid, ml_ee_grid):
                 assert np.all(np.abs(grid_f(1.0, z) - ref) <= 1e-15 * np.abs(ref))
 
+    def test_plans_cached_and_read_only(self):
+        # the coefficient plans are built once per (beta, gam, tol) and shared
+        # by every call, so no caller may write into them
+        z = RAY(0.85, 1.0) * np.linspace(0.0, 12.0, 50)
+        first = ml_ee_grid(0.85, z)
+        for plan in (special._series_plan, special._asymp_plan):
+            a = plan(0.85, 0.85, special.GRID_TOL)
+            b = plan(0.85, 0.85, special.GRID_TOL)
+            assert all(x is y for x, y in zip(a, b))
+            for arr in a:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+        assert np.array_equal(ml_ee_grid(0.85, z), first)
+
     @pytest.mark.parametrize("tol", [1e-16, 1.0, math.nan])
     def test_tolerance_out_of_range_rejected(self, tol):
         with pytest.raises(ValueError, match=rf"tolerance .* got {tol}"):
