@@ -10,13 +10,13 @@ xi = +-pi -- the resonant modes never make it into the evolution.
 import math
 
 import numpy as np
+import scipy.fft as sfft
 
 from fraclat import (
     LatticeField,
     LatticeGrid,
     ModelParams,
     TimeGrid,
-    dft,
     discretize,
     filter_pi,
     inject,
@@ -35,12 +35,14 @@ print("=== operator algebra ===")
 print("restrict(filter(f)) == f :", np.array_equal(restrict(filter_pi(f2)).values, f2.values))
 print("restrict(inject(f)) == f :", np.array_equal(restrict(inject(f2)).values, f2.values))
 
-fine_xi = filter_pi(f2).grid.freqs()
-lhs = dft(filter_pi(f2)).coeffs
-rhs = 2.0 * np.cos(fine_xi / 2) ** 2 * dft(inject(f2)).coeffs
-print(f"spectral identity max |dft(filter f) - 2cos^2(xi/2) dft(inject f)| = {np.abs(lhs-rhs).max():.2e}")
-edge = np.abs(dft(filter_pi(f2)).coeffs[0])
-print(f"filtered coefficient at xi = -pi: {edge:.2e}  (edge mode killed)")
+# spectra in FFT order: coefficient j belongs to grid.freqs()[j], -pi at M/2
+fine = filter_pi(f2)
+fine_xi = fine.grid.freqs()
+lhs = sfft.fft(fine.values)
+rhs = 2.0 * np.cos(fine_xi / 2) ** 2 * sfft.fft(inject(f2).values)
+print(f"spectral identity max |fft(filter f) - 2cos^2(xi/2) fft(inject f)| = {np.abs(lhs-rhs).max():.2e}")
+edge = np.abs(lhs[fine.grid.n_points // 2])
+print(f"filtered coefficient at xi = {fine_xi[fine.grid.n_points // 2]:.6f}: {edge:.2e}  (edge mode killed)")
 
 print()
 print("=== norms of a Gaussian profile ===")

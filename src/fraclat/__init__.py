@@ -19,13 +19,8 @@ from .lattice import (
     LatticeField,
     LatticeGrid,
     NormReport,
-    SpectralField,
-    dft,
-    dft_rows,
     discretize,
     filter_pi,
-    idft,
-    idft_rows,
     inject,
     interp_linear,
     interp_multiplier,
@@ -45,7 +40,6 @@ from .solver import (
     TimeGrid,
     apply_nonlinearity,
     duhamel_weights,
-    linear_propagate,
     prepare_initial,
     solve,
     solve_continuum_reference,

@@ -96,7 +96,6 @@ _KEY_PARSERS = {
     "betas": _parse_float_list,
     "n_radii": int,
     "r_max": _parse_float,
-    "workers": int,
 }
 
 

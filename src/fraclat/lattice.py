@@ -5,12 +5,14 @@ fixed extent L = n_points * h whose initial data decay fast enough that
 wrap-around sits below the noise floor.  Sites are x_m = m h for
 m = -M/2 .. M/2 - 1 and fields are stored in that site order.
 
-Fourier convention (dimensionless frequency xi in [-pi, pi)):
-
-    u_hat(xi_j) = sum_m u(m h) e^{-i xi_j m},      xi_j = 2 pi j / M,
-    u(m h)      = (1/M) sum_j u_hat(xi_j) e^{i xi_j m},
-
-so Parseval reads  h sum |u|^2 = (h / 2 pi) * sum_j |u_hat_j|^2 * (2 pi / M).
+Fourier convention: the transform is scipy.fft.fft / ifft along the last
+axis of the stored values, and grid.freqs()[j] = 2 pi fftfreq(M)[j] is
+the dimensionless frequency xi_j of coefficient j in that FFT order: zero
+first, -pi at j = M/2.  Coefficient j is (-1)^j times the centred sum
+sum_m u(m h) e^{-i xi_j m}, since storage starts at m = -M/2.  No code
+sees that factor: every spectral operation is a Fourier multiplier,
+which commutes with a cyclic roll of the sites, or takes a modulus.
+Parseval reads  h sum |u|^2 = (h / M) sum_j |u_hat_j|^2.
 
 Operators: cell-average discretization, the coarse-to-fine interpolation
 filter (spectral multiplier 2 cos^2(xi/2)), zero-padding injection, the
@@ -56,13 +58,19 @@ class LatticeGrid:
         return m * self.h
 
     def freqs(self) -> np.ndarray:
-        """Dimensionless DFT frequencies xi_j in [-pi, pi)."""
-        j = np.arange(self.n_points) - self.n_points // 2
-        return 2.0 * math.pi * j / self.n_points
+        """Dimensionless frequencies xi_j in [-pi, pi), in the index order of scipy.fft.fft."""
+        return 2.0 * math.pi * np.fft.fftfreq(self.n_points)
 
     def coarse(self) -> "LatticeGrid":
+        """The grid of mesh 2h on the even sites.
+
+        The even sites m sit at even storage positions only when
+        n_points % 4 == 0; the filter and the restriction need that.
+        """
         if self.n_points % 4:
-            raise GridMismatchError("coarse grid needs n_points divisible by 4")
+            raise GridMismatchError(
+                f"the 2h grid needs n_points divisible by 4: got n_points = {self.n_points}"
+            )
         return LatticeGrid(h=2.0 * self.h, n_points=self.n_points // 2)
 
     def compatible(self, other: "LatticeGrid") -> bool:
@@ -88,20 +96,6 @@ class LatticeField:
 
 
 @dataclass(frozen=True)
-class SpectralField:
-    """DFT coefficients indexed by the frequencies grid.freqs()."""
-
-    grid: LatticeGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.grid.n_points,):
-            raise GridMismatchError("spectral length does not match grid")
-        object.__setattr__(self, "coeffs", c)
-
-
-@dataclass(frozen=True)
 class NormReport:
     """The three contraction norms and their maximum."""
 
@@ -112,29 +106,6 @@ class NormReport:
     @property
     def lam(self) -> float:
         return max(self.eta1, self.eta2, self.eta3)
-
-
-# ---------------------------------------------------------------------------
-# transforms
-# ---------------------------------------------------------------------------
-
-
-def dft_rows(values: np.ndarray) -> np.ndarray:
-    """DFT along the last (site) axis: one field, or every row of a (nodes, sites) array."""
-    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values, axes=-1), axis=-1), axes=-1)
-
-
-def idft_rows(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of dft_rows along the last (frequency) axis."""
-    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(coeffs, axes=-1), axis=-1), axes=-1)
-
-
-def dft(field: LatticeField) -> SpectralField:
-    return SpectralField(grid=field.grid, coeffs=dft_rows(field.values))
-
-
-def idft(spec: SpectralField) -> LatticeField:
-    return LatticeField(grid=spec.grid, values=idft_rows(spec.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +210,9 @@ def norm_lp(field: LatticeField, p) -> float:
     return float((field.grid.h * np.sum(a**p)) ** (1.0 / p))
 
 
-def _fft_freqs(grid: LatticeGrid) -> np.ndarray:
-    """The frequencies of grid.freqs() in FFT order, the order of an unshifted FFT."""
-    return 2.0 * math.pi * np.fft.fftfreq(grid.n_points)
-
-
 def _sobolev_squares(coeffs: np.ndarray, grid: LatticeGrid, s: float) -> np.ndarray:
-    """Squared H^s_h norms from unshifted DFT coefficients, one per row."""
-    xi = _fft_freqs(grid)
+    """Squared H^s_h norms from DFT coefficients, one per row."""
+    xi = grid.freqs()
     weight = 1.0 + (np.abs(xi) / grid.h) ** (2.0 * s) if s != 0.0 else np.ones_like(xi)
     return grid.h / grid.n_points * np.sum(weight * np.abs(coeffs) ** 2, axis=-1)
 
@@ -265,8 +231,8 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 
 def _smoothing(coeffs: np.ndarray, grid: LatticeGrid, times: np.ndarray, delta: float) -> float:
-    """norm_smoothing from the unshifted (nodes, sites) DFT coefficients of a trajectory."""
-    mult = (1.0 + np.abs(_fft_freqs(grid)) / grid.h) ** delta
+    """norm_smoothing from the (nodes, sites) DFT coefficients of a trajectory."""
+    mult = (1.0 + np.abs(grid.freqs()) / grid.h) ** delta
     v = sfft.ifft(coeffs * mult, axis=-1, overwrite_x=True)
     tw = _trapezoid_weights(np.asarray(times, dtype=float))
     return float(np.sqrt(np.sum(tw[:, None] * np.abs(v) ** 2, axis=0).max()))
@@ -292,14 +258,13 @@ def lambda_norm(traj, params, *, spectrum: np.ndarray | None = None) -> NormRepo
 
     eta1 smoothing (exponent s+sigma-alpha), eta2 energy sup_t H^s,
     eta3 maximal; one batched DFT of the nodes serves eta1 and eta2.
-    ``spectrum`` may pass that DFT in, the unshifted fft(traj.values, axis=-1),
-    when the caller already holds it.
+    ``spectrum`` may pass that DFT in, fft(traj.values, axis=-1), when the
+    caller already holds it.
 
     Each eta is a sup or an l^q over the sites of a per-site quantity, and
     the DFT of a cyclically rolled field differs only by a unimodular
     factor per mode, so the report is unchanged by a cyclic roll of the
-    sites: a trajectory stored in FFT site order (np.fft.ifftshift of the
-    site axis) has the same norms as in site order.
+    sites.
     """
     coeffs = sfft.fft(traj.values, axis=-1) if spectrum is None else spectrum
     eta1 = _smoothing(coeffs, traj.grid, traj.times, params.s + params.sigma - params.alpha)

@@ -28,17 +28,14 @@ Lambda_T.  An iterate that stops being finite raises NonContractionError
 like a growing residual does.  The continuum reference solver is the
 identical pipeline with the multiplier |xi|^alpha and no filtering.
 
-The loop works in FFT order: the datum's sites are rolled by ifftshift
-once, the tables are gathered straight into the mode order of an
-unshifted FFT, and the finished trajectory is rolled back by fftshift
-once, so no sweep shifts anything.  The filter stays the same operator
-because even sites stay at even positions under that roll when
-n_points % 4 == 0, which a filtered solve requires.  The memory kernel is
-stored mode-major, so both time-axis FFTs run along contiguous rows, a
-block of modes at a time.  The residual's spectrum is the difference of
-two spectra the sweep already holds, and Lambda_T is invariant under the
-roll, so a sweep costs three site-axis FFTs: the density, the new iterate
-and the smoothing part of the residual norm.
+Sites stay in storage order and modes in the FFT order of the lattice
+module throughout, so no sweep shifts anything.  The filter acts on the
+even storage positions, which are the even sites when n_points % 4 == 0,
+as a filtered solve requires.  The memory kernel is stored mode-major, so
+both time-axis FFTs run along contiguous rows, a block of modes at a
+time.  The residual's spectrum is the difference of two spectra the sweep
+already holds, so a sweep costs three site-axis FFTs: the density, the
+new iterate and the smoothing part of the residual norm.
 """
 
 from __future__ import annotations
@@ -55,10 +52,8 @@ from .lattice import (
     GridMismatchError,
     LatticeField,
     LatticeGrid,
-    SpectralField,
     discretize,
     filter_pi,
-    idft,
     lambda_norm,
 )
 from .special import GRID_TOL, ml_e_grid, ml_ee_grid
@@ -228,30 +223,24 @@ class SymbolTable:
             self.mu = wvals / grid.h**params.alpha
         else:
             self.mu = (np.abs(grid.freqs()) / grid.h) ** params.alpha
-        self.mu[grid.n_points // 2] = 0.0  # zero mode exactly
+        self.mu[0] = 0.0  # zero mode exactly
         # mu(xi) = mu(-xi): tables are evaluated on the distinct values only
         # (one per +-xi pair) and gathered back to the modes by mode_index
         self.distinct_mu, self.mode_index = np.unique(self.mu, return_inverse=True)
 
-    def propagator_multiplier(self, t: float) -> np.ndarray:
-        """E_beta(i^{-beta} t^beta mu) for every mode."""
-        z = self.params.phase_unit * (t ** self.params.beta) * self.distinct_mu.astype(np.complex128)
-        return ml_e_grid(self.params.beta, z, tol=self.ml_tol)[self.mode_index]
-
     def propagator_table(self, timegrid: TimeGrid) -> np.ndarray:
-        """(m_steps+1, n_points) multipliers across all time nodes, modes in FFT order.
+        """E_beta(i^{-beta} t^beta mu) at every time node: (m_steps+1, n_points).
 
-        Column j belongs to the mode of an unshifted np.fft.fft, that is,
-        to np.fft.ifftshift(grid.freqs())[j].
+        Column j belongs to the frequency grid.freqs()[j], like mu.
         """
         b = self.params.beta
         tpow = timegrid.times**b
         z = self.params.phase_unit * np.multiply.outer(tpow, self.distinct_mu).astype(np.complex128)
         # take, unlike fancy indexing, keeps the (nodes, modes) gather row-major
-        return ml_e_grid(b, z, tol=self.ml_tol).take(np.fft.ifftshift(self.mode_index), axis=-1)
+        return ml_e_grid(b, z, tol=self.ml_tol).take(self.mode_index, axis=-1)
 
     def duhamel_tables(self, timegrid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-        """Product-integration weights A, B of shape (m_steps, n_points), modes in FFT order.
+        """Product-integration weights A, B of shape (m_steps, n_points).
 
         Row l-1 holds the lag-l pair: the integral of the kernel against
         the linear density over [t_j, t_{j+1}] with t_n - t_j = l dt is
@@ -259,10 +248,9 @@ class SymbolTable:
         propagator_table.
         """
         A, B = _duhamel_weight_tables(timegrid, self.distinct_mu, self.params, self.ml_tol)
-        fft_index = np.fft.ifftshift(self.mode_index)
         # fancy indexing leaves them column-major: the mode-major layout
         # _FoldedKernel keeps, which then needs no transposing copy
-        return A[:, fft_index], B[:, fft_index]
+        return A[:, self.mode_index], B[:, self.mode_index]
 
 
 def _duhamel_nodes(timegrid: TimeGrid, beta: float, n_nodes: int = 8):
@@ -337,35 +325,11 @@ def _duhamel_weight_tables(
 # ---------------------------------------------------------------------------
 
 
-def _check_filter_grid(n_points: int) -> None:
-    """The filter acts on the even sites, the sub-lattice of the coarse grid.
-
-    They sit at even positions in site order, and at even positions in FFT
-    order too, only when n_points % 4 == 0.
-    """
-    if n_points % 4:
-        raise GridMismatchError(
-            f"the filter needs n_points divisible by 4: got n_points = {n_points}"
-        )
-
-
 def prepare_initial(f, grid: LatticeGrid, use_filter: bool) -> LatticeField:
     """Initial datum: filtered (discretize on 2h, then interpolate) or raw."""
     if not use_filter:
         return discretize(f, grid)
-    _check_filter_grid(grid.n_points)
-    coarse = LatticeGrid(h=2.0 * grid.h, n_points=grid.n_points // 2)
-    return filter_pi(discretize(f, coarse))
-
-
-def linear_propagate(
-    f_hat: SpectralField, t: float, table: SymbolTable, params: ModelParams
-) -> LatticeField:
-    """Apply the linear memory propagator at time t >= 0."""
-    if t < 0.0:
-        raise ValueError("linear_propagate: t must be >= 0")
-    mult = table.propagator_multiplier(t)
-    return idft(SpectralField(grid=f_hat.grid, coeffs=mult * f_hat.coeffs))
+    return filter_pi(discretize(f, grid.coarse()))
 
 
 def apply_nonlinearity(field: LatticeField, params: ModelParams) -> LatticeField:
@@ -374,6 +338,8 @@ def apply_nonlinearity(field: LatticeField, params: ModelParams) -> LatticeField
     Filtered path: sign * Pi_h R_h (|u|^{p-1} u); with use_filter off the
     pointwise nonlinearity is returned as-is (failure-mode experiments).
     """
+    if params.use_filter:
+        field.grid.coarse()  # the filter's sub-lattice: n_points % 4 == 0
     return LatticeField(grid=field.grid, values=_batch_nonlinearity(field.values, params))
 
 
@@ -381,12 +347,11 @@ def _batch_nonlinearity(U: np.ndarray, params: ModelParams) -> np.ndarray:
     """The nonlinearity of apply_nonlinearity on one field or on every row of (nodes, sites).
 
     The filter keeps the even positions and averages the odd ones from
-    their cyclic neighbours, which is Pi_h R_h in site order and in FFT
-    order alike (n_points % 4 == 0).
+    their cyclic neighbours, which is Pi_h R_h when n_points % 4 == 0; the
+    callers check that once, through grid.coarse().
     """
     G = params.sign * np.abs(U) ** (params.p - 1) * U
     if params.use_filter:
-        _check_filter_grid(U.shape[-1])
         even = G[..., ::2]
         G[..., 1::2] = 0.5 * (even + np.roll(even, -1, axis=-1))
     return G
@@ -489,29 +454,16 @@ def solve(
     # the continuum reference carries no lattice filter in its nonlinearity
     run_params = replace(params, use_filter=False) if symbol_source == "continuum" else params
     if nonlinear and run_params.use_filter:
-        _check_filter_grid(grid.n_points)
-
-    # the loop runs in FFT order: sites rolled by ifftshift, modes as an
-    # unshifted FFT leaves them; the trajectory is rolled back once at the end
-    v0 = np.fft.ifftshift(u0.values)
-
-    def trajectory(U: np.ndarray, residuals: list[float] | None = None) -> SolutionTrajectory:
-        return SolutionTrajectory(
-            timegrid=timegrid, grid=grid, values=np.fft.fftshift(U, axes=-1), residuals=residuals or []
-        )
-
-    def fft_order(U: np.ndarray) -> SolutionTrajectory:
-        # sites in FFT order: lambda_norm is invariant under the roll
-        return SolutionTrajectory(timegrid=timegrid, grid=grid, values=U)
+        grid.coarse()  # the filter's sub-lattice: n_points % 4 == 0
 
     table = SymbolTable(grid, params, kind=symbol_source, ml_tol=ml_tol)
     LIN = table.propagator_table(timegrid)
-    LIN *= sfft.fft(v0)
+    LIN *= sfft.fft(u0.values)
     lin_phys = sfft.ifft(LIN, axis=-1)
-    lin_phys[0] = v0  # t = 0 multiplier is exactly 1
+    lin_phys[0] = u0.values  # t = 0 multiplier is exactly 1
 
     if not nonlinear and forcing is None:
-        return trajectory(lin_phys)
+        return SolutionTrajectory(timegrid, grid, lin_phys)
 
     # the memory term carries the phase i^{-beta}: fold it into the weights
     unit = params.phase_unit
@@ -520,7 +472,7 @@ def solve(
     force_hat = None
     if forcing is not None:
         F = np.stack([np.asarray(forcing(t), dtype=np.complex128) for t in timegrid.times])
-        force_hat = sfft.fft(np.fft.ifftshift(F, axes=-1), axis=-1, overwrite_x=True)
+        force_hat = sfft.fft(F, axis=-1, overwrite_x=True)
 
     U, U_hat = lin_phys, LIN
     residuals: list[float] = []
@@ -537,7 +489,7 @@ def solve(
         del G_hat  # free the density before the norms allocate
         U_new_hat += LIN
         U_new = sfft.ifft(U_new_hat, axis=-1)
-        U_new[0] = v0  # D[0] = 0: node 0 is the datum, kept exact
+        U_new[0] = u0.values  # D[0] = 0: node 0 is the datum, kept exact
         if not np.isfinite(U_new).all():
             raise NonContractionError(
                 f"Picard sweep {sweep} produced a non-finite iterate; "
@@ -551,10 +503,12 @@ def solve(
         else:
             U_hat -= U_new_hat
         U -= U_new
-        res = lambda_norm(fft_order(U), params, spectrum=U_hat).lam
+        res = lambda_norm(SolutionTrajectory(timegrid, grid, U), params, spectrum=U_hat).lam
         residuals.append(res)
         if first_norm is None:
-            first_norm = lambda_norm(fft_order(U_new), params, spectrum=U_new_hat).lam
+            first_norm = lambda_norm(
+                SolutionTrajectory(timegrid, grid, U_new), params, spectrum=U_new_hat
+            ).lam
         U, U_hat = U_new, U_new_hat
         if forcing is not None and not nonlinear:
             break  # u-independent source: fixed point after one sweep
@@ -572,7 +526,7 @@ def solve(
             bad_streak = 0
     # exhausting k_max with decreasing residuals is a legitimate exit: the
     # caller reads the quality off the residual history
-    return trajectory(U, residuals)
+    return SolutionTrajectory(timegrid, grid, U, residuals)
 
 
 def solve_continuum_reference(

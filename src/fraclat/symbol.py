@@ -116,9 +116,8 @@ def w_eval(cfg: SymbolConfig, xi):
 
 
 def w_on_dft_grid(cfg: SymbolConfig, n_points: int) -> np.ndarray:
-    """w at the DFT frequencies 2*pi*j/M, j = -M/2..M/2-1 (fftshifted order)."""
-    j = np.arange(n_points) - n_points // 2
-    return w_eval(cfg, _TWO_PI * j / n_points)
+    """w at the DFT frequencies 2 pi fftfreq(M), in the index order of scipy.fft.fft."""
+    return w_eval(cfg, _TWO_PI * np.fft.fftfreq(n_points))
 
 
 def w_prime(cfg: SymbolConfig, xi):

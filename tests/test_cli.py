@@ -61,6 +61,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r":3: unknown key 'banana'"):
             parse_config(p)
 
+    def test_workers_key_rejected(self, tmp_path):
+        # the worker count is the --workers option, not a config key
+        p = write(tmp_path, "experiment = symbol\nalphas = 1.5\nworkers = 2\n")
+        with pytest.raises(ConfigError, match=r":3: unknown key 'workers'"):
+            parse_config(p)
+
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="empty"):
             parse_config(write(tmp_path, "# only a comment\n"))

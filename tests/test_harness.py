@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from fraclat.harness import (
     fit_order,
@@ -17,8 +18,9 @@ from fraclat.harness import (
     run_symbol_checks,
     spectral_mass_near,
 )
-from fraclat.lattice import LatticeGrid
-from fraclat.solver import ModelParams
+from fraclat.lattice import GridMismatchError, LatticeGrid, norm_lp
+from fraclat.solver import ModelParams, SymbolTable, prepare_initial
+from fraclat.special import ml_e_grid
 
 
 def gauss(x):
@@ -93,6 +95,24 @@ class TestMassUniformity:
         assert rep["entries"][0]["skipped"] == "zero initial data"
         assert not rep["pass"]
 
+    def test_ratio_matches_per_node_loop(self):
+        # one propagator table per h against E_beta evaluated node by node
+        params = ModelParams(alpha=1.5, beta=0.85)
+        T, n_times = 0.7, 12
+        rep = run_mass_uniformity(params, [0.4, 0.2], gauss, extent=12.8, T=T, n_times=n_times)
+        for e in rep["entries"]:
+            grid = grid_for(12.8, e["h"])
+            u0 = prepare_initial(gauss, grid, True)
+            c0 = sfft.fft(u0.values)
+            mu = SymbolTable(grid, params).mu
+            worst = 0.0
+            for t in np.linspace(0.0, T, n_times + 1):
+                z = params.phase_unit * t**params.beta * mu.astype(complex)
+                mult = ml_e_grid(params.beta, z)
+                mass = math.sqrt(grid.h / grid.n_points * np.sum(np.abs(mult * c0) ** 2))
+                worst = max(worst, mass / norm_lp(u0, 2))
+            assert e["ratio"] == pytest.approx(worst, rel=1e-12)
+
 
 class TestSmoothing:
     def test_dichotomy_direction(self):
@@ -124,6 +144,12 @@ class TestSmoothing:
             traj = _phase_evolution(u0, params, np.linspace(0.0, 1.0, 17))
             qs.append(norm_smoothing(traj, 0.3) / norm_lp(u0, 2))
         assert qs[0] == pytest.approx(qs[1], rel=1e-6)
+
+    def test_filtered_packet_needs_n_divisible_by_4(self):
+        # h = 0.2 on extent 3.6 gives n_points = 18: even, but no 2h grid
+        params = ModelParams(alpha=1.5, beta=0.85)
+        with pytest.raises(GridMismatchError, match="n_points = 18"):
+            run_smoothing_experiment(params, [0.2, 0.1], extent=3.6)
 
 
 class TestContinuumStudy:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -11,13 +12,10 @@ from fraclat.lattice import (
     GridMismatchError,
     LatticeField,
     LatticeGrid,
-    SpectralField,
-    dft,
     discretize,
     field_from_bytes,
     field_to_bytes,
     filter_pi,
-    idft,
     inject,
     interp_linear,
     interp_multiplier,
@@ -53,8 +51,10 @@ class TestGrid:
         g = LatticeGrid(h=0.5, n_points=8)
         assert g.extent == pytest.approx(4.0)
         assert g.sites()[0] == pytest.approx(-2.0)
-        assert g.freqs()[0] == pytest.approx(-math.pi)
-        assert g.freqs()[4] == 0.0
+        # FFT order: the zero mode first, the edge -pi at M/2
+        assert g.freqs()[0] == 0.0
+        assert g.freqs()[4] == pytest.approx(-math.pi)
+        assert np.array_equal(g.freqs(), 2.0 * math.pi * np.fft.fftfreq(8))
 
 
 class TestDiscretize:
@@ -79,35 +79,35 @@ class TestDiscretize:
 
 
 class TestTransforms:
+    """scipy.fft.fft of the stored values, indexed by grid.freqs()."""
+
     def test_delta_is_flat(self):
+        # the delta at site m = 0 sits at storage position M/2: its centred
+        # sum is 1, so coefficient j is (-1)^j
         g = LatticeGrid(h=0.5, n_points=16)
         v = np.zeros(16, dtype=complex)
-        v[8] = 1.0  # site m = 0
-        spec = dft(LatticeField(grid=g, values=v))
-        assert np.allclose(spec.coeffs, 1.0, atol=1e-14)
+        v[8] = 1.0
+        c = sfft.fft(LatticeField(grid=g, values=v).values)
+        assert np.allclose(c, (-1.0) ** np.arange(16), atol=1e-14)
 
     def test_pure_mode_single_coefficient(self):
+        # e^{i xi_k m} peaks where grid.freqs() == xi_k; k = -8 is the edge -pi
         g = LatticeGrid(h=0.5, n_points=16)
-        k = 3
-        xi = g.freqs()[8 + k]
         m = np.arange(16) - 8
-        spec = dft(LatticeField(grid=g, values=np.exp(1j * xi * m)))
-        mags = np.abs(spec.coeffs)
-        assert mags[8 + k] == pytest.approx(16.0, rel=1e-12)
-        mags[8 + k] = 0.0
-        assert mags.max() < 1e-10
-
-    def test_roundtrip(self):
-        g = LatticeGrid(h=0.3, n_points=48)
-        u = random_field(g, 1)
-        back = idft(dft(u))
-        assert np.abs(back.values - u.values).max() < 1e-13
+        for k in (3, -3, -8):
+            xi = 2.0 * math.pi * k / 16
+            mags = np.abs(sfft.fft(LatticeField(grid=g, values=np.exp(1j * xi * m)).values))
+            peak = int(np.argmax(mags))
+            assert g.freqs()[peak] == pytest.approx(xi, abs=1e-15)
+            assert mags[peak] == pytest.approx(16.0, rel=1e-12)
+            mags[peak] = 0.0
+            assert mags.max() < 1e-10
 
     @pytest.mark.parametrize("n", [16, 48, 64, 250])
     def test_parseval(self, n):
         g = LatticeGrid(h=0.17, n_points=n)
         u = random_field(g, n)
-        c = dft(u).coeffs
+        c = sfft.fft(u.values)
         quadrature = g.h / g.n_points * np.sum(np.abs(c) ** 2)
         assert quadrature == pytest.approx(norm_lp(u, 2) ** 2, rel=1e-12)
 
@@ -129,12 +129,12 @@ class TestFilterInjectRestrict:
         assert np.array_equal(restrict(inject(f2)).values, f2.values)
 
     def test_spectral_multiplier_identity(self):
-        # dft(filter f) = 2 cos^2(xi/2) dft(inject f)
+        # fft(filter f) = 2 cos^2(xi/2) fft(inject f)
         cg = LatticeGrid(h=0.5, n_points=32)
         f2 = random_field(cg, 4)
         fine_xi = filter_pi(f2).grid.freqs()
-        lhs = dft(filter_pi(f2)).coeffs
-        rhs = 2.0 * np.cos(fine_xi / 2.0) ** 2 * dft(inject(f2)).coeffs
+        lhs = sfft.fft(filter_pi(f2).values)
+        rhs = 2.0 * np.cos(fine_xi / 2.0) ** 2 * sfft.fft(inject(f2).values)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_inject_constant_alternates(self):
@@ -249,7 +249,7 @@ class TestInterpolation:
         g = LatticeGrid(h=0.5, n_points=16)
         k = 2
         m = np.arange(16) - 8
-        xi_k = g.freqs()[8 + k]
+        xi_k = g.freqs()[k]
         u = LatticeField(grid=g, values=np.exp(1j * xi_k * m))
         r = 256
         fine = LatticeGrid(h=g.h / r, n_points=16 * r)
@@ -309,7 +309,7 @@ class TestNorms:
     def test_sobolev_pure_mode(self):
         g = LatticeGrid(h=0.2, n_points=32)
         k = 5
-        xi = g.freqs()[16 + k]
+        xi = g.freqs()[k]
         m = np.arange(32) - 16
         amp = 0.7
         u = LatticeField(grid=g, values=amp * np.exp(1j * xi * m))
@@ -367,7 +367,7 @@ class TestMixedNorms:
     def test_smoothing_rotating_pure_mode(self):
         g = LatticeGrid(h=0.2, n_points=32)
         k, amp, delta, T = 4, 1.3, 0.6, 1.5
-        xi = g.freqs()[16 + k]
+        xi = g.freqs()[k]
         m = np.arange(32) - 16
         tg = TimeGrid(T=T, m_steps=16)
         values = amp * np.exp(1j * (xi * m - 3.0 * tg.times[:, None]))
@@ -432,7 +432,7 @@ def _norms_per_snapshot(traj, params):
     eta2 = 0.0
     for w_t, row in zip(tw, traj.values):
         snap = LatticeField(grid=g, values=row)
-        v = idft(SpectralField(grid=g, coeffs=dft(snap).coeffs * mult)).values
+        v = sfft.ifft(sfft.fft(snap.values) * mult)
         acc += w_t * np.abs(v) ** 2
         sup = np.maximum(sup, np.abs(row))
         eta2 = max(eta2, norm_sobolev(snap, params.s))

@@ -6,19 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import assume, given, settings, strategies as st
 
 from fraclat.lattice import (
     GridMismatchError,
     LatticeField,
     LatticeGrid,
-    SpectralField,
-    dft,
-    dft_rows,
     discretize,
     filter_pi,
-    idft,
-    idft_rows,
     lambda_norm,
     norm_lp,
     restrict,
@@ -32,13 +28,12 @@ from fraclat.solver import (
     TimeGrid,
     apply_nonlinearity,
     duhamel_weights,
-    linear_propagate,
     prepare_initial,
     solve,
     solve_continuum_reference,
 )
 from fraclat.solver import _CONV_BLOCK, _FoldedKernel, _batch_nonlinearity, _duhamel_weight_tables
-from fraclat.special import ml_e_grid
+from fraclat.special import GRID_TOL, ml_e_grid
 
 
 def gauss(x):
@@ -223,7 +218,7 @@ class TestSymbolTable:
         grid = LatticeGrid(h=0.2, n_points=64)
         for kind in ("lattice", "continuum"):
             tab = SymbolTable(grid, ModelParams(alpha=1.5, beta=0.85), kind=kind)
-            assert tab.mu[32] == 0.0
+            assert tab.mu[0] == 0.0  # FFT order: the zero mode first
             assert np.all(tab.mu >= 0.0)
 
     def test_lattice_symbol_matches_continuum_at_low_modes(self):
@@ -246,7 +241,7 @@ class TestSymbolTable:
             grid = LatticeGrid(h=51.2 / n, n_points=n)
             tab = SymbolTable(grid, ModelParams(alpha=1.5, beta=0.85), kind=kind)
             k = np.arange(1, n // 2)
-            assert np.array_equal(tab.mu[n // 2 + k], tab.mu[n // 2 - k])
+            assert np.array_equal(tab.mu[k], tab.mu[n - k])
             assert tab.distinct_mu.size == n // 2 + 1
             assert np.array_equal(tab.distinct_mu[tab.mode_index], tab.mu)
 
@@ -261,15 +256,9 @@ class TestSymbolTable:
         tab = SymbolTable(grid, params, kind=kind)
         z = params.phase_unit * np.multiply.outer(tg.times**params.beta, tab.mu)
         full = ml_e_grid(params.beta, z.astype(complex), tol=tab.ml_tol)
-        assert np.abs(tab.propagator_multiplier(float(tg.times[5])) - full[5]).max() <= tab.ml_tol
-        # the tables are in FFT mode order, the order of an unshifted np.fft.fft
-        full = np.fft.ifftshift(full, axes=-1)
         prop = tab.propagator_table(tg)
         assert np.abs(prop - full).max() <= tab.ml_tol * np.abs(full).max()
-        A_full, B_full = (
-            np.fft.ifftshift(w, axes=-1)
-            for w in _duhamel_weight_tables(tg, tab.mu, params, tab.ml_tol)
-        )
+        A_full, B_full = _duhamel_weight_tables(tg, tab.mu, params, tab.ml_tol)
         A, B = tab.duhamel_tables(tg)
         for got, ref in ((A, A_full), (B, B_full)):
             assert np.abs(got - ref).max() <= tab.ml_tol * np.abs(ref).max()
@@ -289,10 +278,11 @@ class TestPrepareInitial:
         grid = LatticeGrid(h=0.2, n_points=128)
         filt = prepare_initial(gauss, grid, True)
         raw = prepare_initial(gauss, grid, False)
-        c_f = dft(filt).coeffs
-        c_r = dft(raw).coeffs
-        # multiplier 2 cos^2(xi/2) kills the edge mode
-        assert abs(c_f[0]) < 1e-13 * abs(c_r).max()
+        c_f = sfft.fft(filt.values)
+        c_r = sfft.fft(raw.values)
+        # multiplier 2 cos^2(xi/2) kills the edge mode, at M/2 in FFT order
+        assert grid.freqs()[64] == -math.pi
+        assert abs(c_f[64]) < 1e-13 * abs(c_r).max()
 
 
 class TestApplyNonlinearity:
@@ -351,41 +341,34 @@ class TestApplyNonlinearity:
 
 
 class TestLinearPropagate:
+    """The propagator table, and solve(nonlinear=False) built on it."""
+
     def test_t_zero_identity(self):
         grid = LatticeGrid(h=0.2, n_points=64)
         params = ModelParams(alpha=1.5, beta=0.85)
         tab = SymbolTable(grid, params)
         u0 = prepare_initial(gauss, grid, True)
-        out = linear_propagate(dft(u0), 0.0, tab, params)
-        assert np.abs(out.values - u0.values).max() < 1e-13
+        first = tab.propagator_table(TimeGrid(T=0.3, m_steps=4))[0]
+        assert np.array_equal(first, np.ones(64))
+        out = sfft.ifft(first * sfft.fft(u0.values))
+        assert np.abs(out - u0.values).max() < 1e-13
 
     def test_zero_mode_invariant(self):
         grid = LatticeGrid(h=0.2, n_points=64)
         params = ModelParams(alpha=1.5, beta=0.85)
-        tab = SymbolTable(grid, params)
-        u0 = prepare_initial(gauss, grid, True)
-        c0 = dft(u0).coeffs[32]
-        for t in (0.3, 1.7):
-            ct = dft(linear_propagate(dft(u0), t, tab, params)).coeffs[32]
-            assert ct == pytest.approx(c0, rel=1e-12)
+        traj = solve(params, grid, TimeGrid(T=1.7, m_steps=17), gauss, nonlinear=False)
+        c = sfft.fft(traj.values, axis=-1)[:, 0]
+        assert np.abs(c - c[0]).max() <= 1e-12 * abs(c[0])
 
     def test_beta_one_phase_rotation(self):
         grid = LatticeGrid(h=0.2, n_points=64)
         params = ModelParams(alpha=1.5, beta=1.0)
         tab = SymbolTable(grid, params)
-        u0 = prepare_initial(gauss, grid, True)
         t = 0.37
-        out = dft(linear_propagate(dft(u0), t, tab, params)).coeffs
-        ref = np.exp(-1j * t * tab.mu) * dft(u0).coeffs
+        traj = solve(params, grid, TimeGrid(T=t, m_steps=4), gauss, nonlinear=False)
+        out = sfft.fft(traj.values[-1])
+        ref = np.exp(-1j * t * tab.mu) * sfft.fft(traj.values[0])
         assert np.abs(out - ref).max() < 1e-12 * np.abs(ref).max()
-
-    def test_negative_time_rejected(self):
-        grid = LatticeGrid(h=0.2, n_points=16)
-        params = ModelParams(alpha=1.5, beta=0.85)
-        tab = SymbolTable(grid, params)
-        u0 = prepare_initial(gauss, grid, True)
-        with pytest.raises(ValueError):
-            linear_propagate(dft(u0), -0.1, tab, params)
 
 
 class TestSolve:
@@ -408,10 +391,11 @@ class TestSolve:
         tg = TimeGrid(T=0.3, m_steps=16)
         traj = solve(params, grid, tg, gauss, nonlinear=False)
         tab = SymbolTable(grid, params)
-        u0_hat = dft(prepare_initial(gauss, grid, True))
+        u0_hat = sfft.fft(prepare_initial(gauss, grid, True).values)
         for i in (3, 16):
-            ref = linear_propagate(u0_hat, float(tg.times[i]), tab, params)
-            assert np.abs(traj.values[i] - ref.values).max() < 1e-10
+            z = params.phase_unit * tg.times[i] ** params.beta * tab.mu
+            ref = sfft.ifft(ml_e_grid(params.beta, z.astype(complex)) * u0_hat)
+            assert np.abs(traj.values[i] - ref).max() < 1e-10
 
     def test_contraction_ratios(self):
         # defocusing cubic, Gaussian data: geometric residual decay, ratio < 0.5
@@ -534,11 +518,11 @@ class TestContinuumReference:
         traj = solve_continuum_reference(params, grid, tg, gauss, nonlinear=False)
         from fraclat.special import ml_e_grid
 
-        u0_hat = dft(traj.snapshot(0)).coeffs
+        u0_hat = sfft.fft(traj.values[0])
         t = float(tg.times[5])
         z = params.phase_unit * t**params.beta * SymbolTable(grid, params, "continuum").mu
-        ref = idft(SpectralField(grid=grid, coeffs=ml_e_grid(params.beta, z.astype(complex)) * u0_hat))
-        assert np.abs(traj.values[5] - ref.values).max() < 1e-10
+        ref = sfft.ifft(ml_e_grid(params.beta, z.astype(complex)) * u0_hat)
+        assert np.abs(traj.values[5] - ref).max() < 1e-10
 
     def test_beta_one_mass_conservation(self):
         params = ModelParams(alpha=1.5, beta=1.0, sign=1)
@@ -552,11 +536,18 @@ class TestContinuumReference:
 
 
 def _site_order_reference(params, grid, tg, u0, kind, nonlinear=True, forcing=None, tol=1e-10):
-    """The Picard loop in site order: dft_rows/idft_rows, per-mode tables, a direct memory sum."""
-    tab = SymbolTable(grid, params, kind=kind)
-    z = params.phase_unit * np.multiply.outer(tg.times**params.beta, tab.mu).astype(complex)
-    LIN = ml_e_grid(params.beta, z, tol=tab.ml_tol) * dft_rows(u0)
-    A, B = _duhamel_weight_tables(tg, tab.mu, params, tab.ml_tol)
+    """The Picard loop with centred transforms, per-mode tables and a direct memory sum."""
+
+    def dft_rows(v):  # the centred sum over m = -M/2 .. M/2-1, xi from -pi up
+        return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(v, axes=-1), axis=-1), axes=-1)
+
+    def idft_rows(c):
+        return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(c, axes=-1), axis=-1), axes=-1)
+
+    mu = np.fft.fftshift(SymbolTable(grid, params, kind=kind).mu)  # centred order
+    z = params.phase_unit * np.multiply.outer(tg.times**params.beta, mu).astype(complex)
+    LIN = ml_e_grid(params.beta, z) * dft_rows(u0)
+    A, B = _duhamel_weight_tables(tg, mu, params, GRID_TOL)
     filtered = params.use_filter and kind == "lattice"
 
     def density(U):
@@ -612,6 +603,28 @@ class TestSiteOrder:
         assert len(traj.residuals) == len(ref_res) >= (1 if kw else 3)
         assert traj.residuals == pytest.approx(ref_res, rel=1e-6)
 
+    @pytest.mark.parametrize("case", ["filtered-lattice", "continuum"])
+    @pytest.mark.parametrize("r", [2, 6, "half"])
+    def test_shift_equivariant(self, case, r):
+        # every operator of the loop is a Fourier multiplier, a modulus or the
+        # filter on even positions: rolling the datum by an even r rolls the
+        # whole trajectory
+        params = ModelParams(alpha=1.5, beta=0.85, sign=-1)
+        tg = TimeGrid(T=0.3, m_steps=16)
+        if case == "continuum":
+            grid = LatticeGrid(h=0.2, n_points=64)
+            kind, u0 = "continuum", discretize(chirped, grid)
+        else:
+            grid = LatticeGrid(h=0.4, n_points=32)
+            kind, u0 = "lattice", prepare_initial(chirped, grid, True)
+        r = grid.n_points // 2 if r == "half" else r
+        rolled = LatticeField(grid=grid, values=np.roll(u0.values, r))
+        traj = solve(params, grid, tg, None, symbol_source=kind, initial_field=u0)
+        shifted = solve(params, grid, tg, None, symbol_source=kind, initial_field=rolled)
+        expected = np.roll(traj.values, r, axis=-1)
+        assert np.abs(shifted.values - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert len(shifted.residuals) == len(traj.residuals) >= 3
+
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.sampled_from([8, 12, 16, 32]),
@@ -620,8 +633,8 @@ class TestSiteOrder:
         seed=st.integers(0, 2**16),
     )
     def test_lambda_norm_roll_and_sign_blind(self, n, nodes, shift, seed):
-        # the solver measures residuals in FFT site order, as U - U_new, and
-        # passes in the spectrum it already holds
+        # the solver measures residuals as U - U_new and passes in the
+        # spectrum it already holds
         params = ModelParams(alpha=1.5, beta=0.85)
         grid = LatticeGrid(h=0.3, n_points=n)
         tg = TimeGrid(T=0.5, m_steps=nodes - 1)

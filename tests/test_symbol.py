@@ -80,12 +80,13 @@ class TestWEval:
         assert w_eval(CFG_RAW, 1.0) == pytest.approx(1.8839527613413515, rel=1e-10)
 
     def test_dft_grid_path_matches(self):
-        # fftshifted order: zero frequency at index m/2, -pi first
+        # FFT order: zero frequency first, -pi at index m/2
         for m in (16, 48, 64):
-            xi = 2.0 * math.pi * (np.arange(m) - m // 2) / m
+            xi = 2.0 * math.pi * np.fft.fftfreq(m)
             got = w_on_dft_grid(CFG_RAW, m)
-            assert got[m // 2] == 0.0
-            nz = np.arange(m) != m // 2
+            assert got[0] == 0.0
+            assert xi[m // 2] == -math.pi
+            nz = np.arange(m) != 0
             ref, bound = cosine_series(1.5, xi[nz])
             assert np.all(np.abs(got[nz] - ref) <= bound + 1e-13)
 
