@@ -30,8 +30,9 @@ own |z| through a few scalar thresholds per (b, g, tol); the points are
 sorted by route and order once, and each branch is summed by Horner's
 rule, so a point pays for its own order, not for the worst one.
 
-``ml_oracle`` sums the series in arbitrary precision (mpmath).  It is the
-test suite's independent reference; no evaluator calls it.
+``ml_oracle`` sums the series in arbitrary precision: fixed-point Python
+integers, with mpmath only for its cached reciprocal-Gamma coefficients.
+It is the test suite's independent reference; no evaluator calls it.
 """
 
 from __future__ import annotations
@@ -39,27 +40,11 @@ from __future__ import annotations
 import math
 import cmath
 import functools
+import sys
 import threading
 
 import numpy as np
 import mpmath as mp
-from mpmath.libmp import (
-    fone,
-    fzero,
-    mpc_add,
-    mpc_mul,
-    mpc_mul_mpf,
-    mpc_to_complex,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_gt,
-    mpf_le,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_shift,
-    round_nearest as _RND,
-)
 from scipy.special import rgamma as _rgamma
 
 
@@ -76,23 +61,22 @@ class MLOverflowError(OverflowError):
 # ---------------------------------------------------------------------------
 
 # mpmath keeps its working precision in the process-wide ``mp`` context, so
-# every arbitrary-precision summation, and every update of the Gamma cache,
-# runs under this lock.  Pure-Python mp arithmetic holds the GIL anyway, so
-# serialising it costs no parallelism.
-_MP_LOCK = threading.RLock()
+# every update of the Gamma cache runs under this lock.  The summation needs
+# none: it works on Python integers and on table lists never modified.
+_MP_LOCK = threading.Lock()
 _MP_RGAMMA_CACHE: dict[tuple[float, float], tuple[int, list]] = {}
 _RGAMMA_STEP = 256
 _ORACLE_TERM_CAP = 200_000
-_HUGE_EXP = 1 << 62
+_GUARD_BITS = 32  # fixed-point bits of the oracle below its float floor
 
 
 def _mp_rgamma_table(beta: float, gam: float, dps: int, upto: int) -> list:
     """Cached reciprocals 1/Gamma(beta*k + gam), k = 0..n-1 with n >= upto.
 
-    The cache holds reciprocals, as raw libmp mpf values, so that each
-    series term costs a multiply instead of a divide.  It keeps one table
-    per beta, keyed (beta, 0): g_k = 1/Gamma(beta*k), from which
-    _ml_series_mp reads both propagator multipliers, E_beta and
+    The cache holds reciprocals, as mpf tuples (sign, mantissa, exponent,
+    bit count), so that each series term costs a multiply, not a divide.
+    It keeps one table per beta, keyed (beta, 0): g_k = 1/Gamma(beta*k),
+    from which _ml_series_mp reads both propagator multipliers, E_beta and
     E_{beta,beta}.  Any other gam keeps a table of its own.  A table is
     kept at the highest precision requested so far (extra digits are
     harmless to lower-precision summations) and grows in fixed steps of
@@ -115,34 +99,6 @@ def _mp_rgamma_table(beta: float, gam: float, dps: int, upto: int) -> list:
         return table
 
 
-def _mpc_sup(v: tuple) -> tuple:
-    """max(|Re v|, |Im v|) of a raw libmp complex."""
-    re, im = mpf_abs(v[0]), mpf_abs(v[1])
-    return im if mpf_gt(im, re) else re
-
-
-def _mpc_mag(v: tuple) -> int:
-    """Least m with max(|Re v|, |Im v|) < 2^m (very negative for v = 0)."""
-    (_, m1, e1, b1), (_, m2, e2, b2) = v
-    return max(e1 + b1 if m1 else -_HUGE_EXP, e2 + b2 if m2 else -_HUGE_EXP)
-
-
-def _settled(t: tuple, s: tuple, thresh: tuple, prec: int) -> bool:
-    """Sup-norm stop test 2 sup|t| <= thresh (sup|s| + thresh), rounded at prec.
-
-    The exponents alone settle most calls: sup|t| >= 2^(mag t - 1) and the
-    rounded right side is at most 2^(mag thresh + max(mag s, mag thresh) + 1),
-    so a larger mag t fails the test without any multiprecision arithmetic.
-    """
-    mt = thresh[2] + thresh[3]
-    if _mpc_mag(t) > mt + max(_mpc_mag(s), mt) + 1:
-        return False
-    return mpf_le(
-        mpf_shift(_mpc_sup(t), 1),
-        mpf_mul(thresh, mpf_add(_mpc_sup(s), thresh, prec, _RND), prec, _RND),
-    )
-
-
 def _series_dps(beta: float, absz: float, digits: int) -> int:
     """Working precision: requested digits plus the cancellation budget.
 
@@ -154,7 +110,7 @@ def _series_dps(beta: float, absz: float, digits: int) -> int:
 
 
 def _ml_series_mp(beta: float, gam: float, z: complex, digits: int) -> complex:
-    """Defining power series summed in arbitrary precision.
+    """Defining power series summed in fixed point with Python integers.
 
     With eps = 10^{-digits} and s the partial sum, terms t are added until
     ten consecutive ones pass the sup-norm test
@@ -167,50 +123,90 @@ def _ml_series_mp(beta: float, gam: float, z: complex, digits: int) -> complex:
     max(|Re s|, |Im s|) <= |s|, so a term passes only where the Euclidean
     test passes too, and the summation never stops earlier than under it.
 
+    The loop runs on Python integers.  z^k is a pair of P-bit mantissas
+    (P the binary precision of _series_dps) with a shared exponent, taken
+    from z's doubles exactly and renormalised after each Gauss product.
+    Terms and partial sum are integers in units of 2^{-F}.  The partial sums
+    peak near e^rho, rho = |z|^{1/beta}, so F = P - rho/ln 2 + _GUARD_BITS
+    lies below the absolute floor 2^{-P} e^rho of a P-bit float sum; a
+    |z| < 1 adds -log2|z| bits, so that a tiny z keeps its first-order term.
+
     Coefficients are reciprocals from _mp_rgamma_table.  gam = beta and
     gam = 1 share the table g_k = 1/Gamma(beta*k) of their beta, through
     1/Gamma(beta*k + beta) = g_{k+1} and 1/Gamma(beta*k + 1) = g_k/(beta*k).
-    beta*k is exact at working precision (a 53-bit beta times a small
-    integer), so the first identity is exact and the second costs one
-    rounding at working precision.  Any other gam uses a table of its own.
+    The first is exact; the second divides g_k's mantissa, shifted to keep
+    P bits whatever its length, by k times beta's 53-bit integer mantissa.
+    Any other gam uses a table of its own.
     """
-    dps = _series_dps(beta, abs(z), digits)
+    absz = abs(z)
+    dps = _series_dps(beta, absz, digits)
+    prec = round((dps + 1) * math.log2(10.0))  # mpmath's binary precision at dps
+    fbits = prec - math.ceil(absz ** (1.0 / beta) / math.log(2.0)) + _GUARD_BITS
+    fbits += max(0, -math.frexp(absz)[1])
     if gam == beta:
         base, off, div = 0.0, 1, False
     elif gam == 1.0:
         base, off, div = 0.0, 0, True
     else:
         base, off, div = gam, 0, False
-    with _MP_LOCK, mp.workdps(dps):
-        # the loop works on raw libmp values with the rounding mode of mp
-        # itself, so it gives the same digits as mpf/mpc objects without
-        # their per-operation wrapper cost
-        prec = mp.mp.prec
-        zz = mp.mpc(z)._mpc_
-        thresh = (mp.mpf(10) ** (-digits))._mpf_
-        bb = mp.mpf(beta)._mpf_
-        s = (fzero, fzero)
-        zp = (fone, fzero)
-        table: list = []
-        quiet = 0
-        for k in range(_ORACLE_TERM_CAP):
-            if k + off >= len(table):
-                table = _mp_rgamma_table(beta, base, dps, k + off + 1)
-            if not div:
-                t = mpc_mul_mpf(zp, table[k + off], prec, _RND)
-            elif k:
-                c = mpf_div(table[k], mpf_mul_int(bb, k, prec, _RND), prec, _RND)
-                t = mpc_mul_mpf(zp, c, prec, _RND)
+    # z = (x + iy) 2^zexp with integers x, y, exactly
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    den = max(xd, yd)
+    x, y, zexp = xn * (den // xd), yn * (den // yd), 1 - den.bit_length()
+    xpy, ymx = x + y, y - x
+    bnum, bden = beta.as_integer_ratio()
+    bexp = bden.bit_length() - 1
+    # the stop test in units of 2^{-F}: 2 10^digits sup|t| <= sup|s| + floor
+    tenpow2 = 2 * 10**digits
+    tenshift = tenpow2.bit_length() - 1
+    floor = (1 << fbits) // 10**digits
+    a, b, pexp = 1, 0, 0  # z^k = (a + ib) 2^pexp
+    sr = si = 0
+    table: list = []
+    quiet = 0
+    for k in range(_ORACLE_TERM_CAP):
+        if k + off >= len(table):
+            table = _mp_rgamma_table(beta, base, dps, k + off + 1)
+        sign, man, exp, bc = table[k + off]
+        if bc > prec:  # the table may be kept at a higher precision
+            man, exp, bc = man >> (bc - prec), exp + bc - prec, prec
+        if div:
+            if k:
+                d = k * bnum
+                n = prec + 1 - bc + d.bit_length()
+                man, exp = (man << n) // d, exp - n + bexp
             else:
-                t = zp
-            s = mpc_add(s, t, prec, _RND)
-            zp = mpc_mul(zp, zz, prec, _RND)
-            if _settled(t, s, thresh, prec):
-                quiet += 1
-                if quiet >= 10:
-                    return mpc_to_complex(s, rnd=_RND)
+                man, exp = 1, 0
+        if sign:
+            man = -man
+        sh = exp + pexp + fbits
+        if sh >= 0:
+            tr, ti = a * man << sh, b * man << sh
+        else:
+            # factor bits below 2^c move the term by < 2^-_GUARD_BITS units
+            c = min(-sh - prec - _GUARD_BITS, -sh >> 1)
+            if c > 0:
+                man >>= c
+                tr, ti = (a >> c) * man >> (-sh - 2 * c), (b >> c) * man >> (-sh - 2 * c)
             else:
-                quiet = 0
+                tr, ti = a * man >> -sh, b * man >> -sh
+        sr += tr
+        si += ti
+        t1 = x * (a + b)
+        a, b = t1 - b * xpy, t1 + a * ymx
+        n = max(a.bit_length(), b.bit_length()) - prec
+        if n > 0:
+            a >>= n
+            b >>= n
+            pexp += n
+        pexp += zexp
+        tsup, lim = max(abs(tr), abs(ti)), max(abs(sr), abs(si)) + floor
+        if tsup <= lim >> tenshift and tenpow2 * tsup <= lim:  # the shift fails most terms
+            quiet += 1
+            if quiet >= 10:
+                return complex(sr / (1 << fbits), si / (1 << fbits))
+        else:
+            quiet = 0
     raise NonConvergenceError(
         f"Mittag-Leffler series did not settle within {_ORACLE_TERM_CAP} terms "
         f"(beta={beta}, gam={gam}, |z|={abs(z):.3g})"
@@ -480,7 +476,8 @@ def ml_ee(beta: float, z: complex) -> complex:
 def _check_sector(beta: float, z: complex) -> None:
     if beta == 1.0:
         return  # E_1 = exp: the expansion is exact in the whole plane
-    if z != 0 and abs(cmath.phase(z)) > beta * math.pi / 2.0 + 1e-9:
+    # a subnormal z has no reliable phase and acts like z = 0
+    if abs(z) >= sys.float_info.min and abs(cmath.phase(z)) > beta * math.pi / 2.0 + 1e-9:
         raise ValueError(
             f"argument off the validity sector: |arg z| = {abs(cmath.phase(z)):.4f} "
             f"> beta*pi/2 = {beta * math.pi / 2.0:.4f}"

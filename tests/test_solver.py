@@ -34,6 +34,7 @@ from fraclat.solver import (
 )
 from fraclat.solver import _CONV_BLOCK, _FoldedKernel, _batch_nonlinearity, _duhamel_weight_tables
 from fraclat.special import GRID_TOL, ml_e_grid
+from fraclat.symbol import SymbolConfig, w_eval
 
 
 def gauss(x):
@@ -544,7 +545,12 @@ def _site_order_reference(params, grid, tg, u0, kind, nonlinear=True, forcing=No
     def idft_rows(c):
         return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(c, axes=-1), axis=-1), axes=-1)
 
-    mu = np.fft.fftshift(SymbolTable(grid, params, kind=kind).mu)  # centred order
+    # mu from the symbol itself, at the centred frequencies xi_m = 2 pi m/M
+    xi = 2.0 * math.pi * np.arange(-(grid.n_points // 2), grid.n_points // 2) / grid.n_points
+    if kind == "lattice":
+        mu = w_eval(SymbolConfig(alpha=params.alpha), xi) / grid.h**params.alpha
+    else:
+        mu = np.abs(xi / grid.h) ** params.alpha
     z = params.phase_unit * np.multiply.outer(tg.times**params.beta, mu).astype(complex)
     LIN = ml_e_grid(params.beta, z) * dft_rows(u0)
     A, B = _duhamel_weight_tables(tg, mu, params, GRID_TOL)

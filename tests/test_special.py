@@ -8,7 +8,7 @@ import threading
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import rgamma
 
 from fraclat import special
@@ -67,6 +67,31 @@ class TestMittagLefflerOracle:
         z = 50.0 * cmath.exp(-1j * 0.3 * math.pi)
         ref = self._direct_sum(0.6, gam, z, dps=340)
         assert ml_oracle(0.6, z, gam) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("gam", [1.0, 0.75])
+    def test_one_bit_entries_match_direct_sum(self, gam):
+        # beta*k is an integer at every fourth k, so entries such as
+        # 1/Gamma(3) = 1/2 have 1-bit mantissas; the gam = 1 division must
+        # keep the working precision there too.  Partial sums peak near
+        # e^{50^{4/3}} ~ 1e80, so 140 digits leave 60 guard digits
+        z = RAY(0.75, 50.0)
+        ref = self._direct_sum(0.75, gam, z, dps=140)
+        assert ml_oracle(0.75, z, gam) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+    # gam = 1 divides the shared table, gam = beta shifts it, gam + beta has its own
+    @settings(max_examples=30, deadline=None)
+    @given(
+        beta=st.sampled_from([0.6, 0.75, 0.85]),
+        r=st.floats(0.0, 30.0),
+        frac=st.floats(-1.0, 1.0),
+    )
+    def test_recurrence_across_coefficient_paths(self, beta, r, frac):
+        # E_{b,g}(z) - z E_{b,g+b}(z) = 1/Gamma(g)
+        z = complex(r * cmath.exp(1j * frac * beta * math.pi / 2.0))
+        for gam in (1.0, beta):
+            lhs = ml_oracle(beta, z, gam, digits=50)
+            zrhs = z * ml_oracle(beta, z, gam + beta, digits=50)
+            assert abs(lhs - zrhs - rgamma(gam)) <= 1e-13 * max(abs(lhs), abs(zrhs))
 
     def test_general_second_param_own_table(self):
         # E_{1,2}(z) = (e^z - 1)/z; gam = 2 is neither 1 nor beta
@@ -297,6 +322,7 @@ class TestGridEvaluators:
         r=st.floats(0.0, 40.0),
         frac=st.floats(-1.0, 1.0),
     )
+    @example(beta=0.75, r=5e-324, frac=1.0)  # subnormal |z|: no phase to check
     def test_grid_matches_scalar_in_sector(self, beta, r, frac):
         z = complex(r * cmath.exp(1j * frac * beta * math.pi / 2.0))
         assert ml_e_grid(beta, np.array([z]))[0] == pytest.approx(ml_e(beta, z), rel=5e-8)
@@ -311,6 +337,7 @@ class TestOneEvaluator:
         r=st.floats(0.0, 40.0),
         frac=st.floats(-1.0, 1.0),
     )
+    @example(beta=0.75, r=5e-324, frac=1.0)  # subnormal |z|: no phase to check
     def test_point_evaluators_match_oracle_in_sector(self, beta, r, frac):
         z = complex(r * cmath.exp(1j * frac * beta * math.pi / 2.0))
         assert ml_e(beta, z) == pytest.approx(ml_oracle(beta, z, 1.0, digits=50), rel=1e-11)
