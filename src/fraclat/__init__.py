@@ -4,9 +4,7 @@ __version__ = "0.1.0"
 
 from .special import MLOverflowError, ml_e, ml_ee, ml_oracle
 from .symbol import (
-    CriticalPoints,
     SymbolConfig,
-    critical_points,
     find_xi0,
     find_xi1,
     normalization_constant,
@@ -39,14 +37,11 @@ from .solver import (
     SymbolTable,
     TimeGrid,
     apply_nonlinearity,
-    duhamel_weights,
     prepare_initial,
     solve,
     solve_continuum_reference,
 )
 from .harness import (
-    ConvergenceReport,
-    SmoothingReport,
     fit_order,
     gaussian_profile,
     nyquist_packet,

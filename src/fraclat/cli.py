@@ -2,7 +2,11 @@
 
 Experiments are driven by line-oriented ``key = value`` files (``#``
 comments allowed); command-line flags only select the config file, the
-output directory and the worker count.  Every run writes
+output directory and the worker count.  A key the file leaves out takes
+the default in the signature of the harness entry point it feeds (of
+``_run_solve`` for ``solve``): ``run`` passes on only the keys the file
+sets.  ``initial`` is ``gaussian`` (reads ``amplitude``, ``width``) or
+``packet`` (also ``center``, ``freq``).  Every run writes
 ``<experiment>_report.json`` (machine-readable pass/fail plus values),
 ``<experiment>_data.csv`` (raw series) and ``manifest.json`` (config
 echo, versions, timings).  Exit code 0 means every assertion of the
@@ -65,6 +69,15 @@ def _parse_float_list(s: str) -> list[float]:
     return [_parse_float(tok) for tok in s.replace(",", " ").split()]
 
 
+_INITIAL_KINDS = ("gaussian", "packet")
+
+
+def _parse_initial(s: str) -> str:
+    if s not in _INITIAL_KINDS:
+        raise ValueError(f"unknown initial data kind {s!r}; choose from {_INITIAL_KINDS}")
+    return s
+
+
 _KEY_PARSERS = {
     "experiment": str,
     "alpha": _parse_float,
@@ -78,7 +91,6 @@ _KEY_PARSERS = {
     "h": _parse_float,
     "h_list": _parse_float_list,
     "h_ref": _parse_float,
-    "n_points": int,
     "T": _parse_float,
     "m_steps": int,
     "n_times": int,
@@ -86,7 +98,7 @@ _KEY_PARSERS = {
     "eps": _parse_float,
     "ratio_cap": _parse_float,
     "linear_only": _parse_bool,
-    "initial": str,
+    "initial": _parse_initial,
     "amplitude": _parse_float,
     "width": _parse_float,
     "center": _parse_float,
@@ -114,6 +126,10 @@ class RunConfig:
         if key not in self.raw:
             raise ConfigError(f"missing required key {key!r} for experiment {self.experiment!r}")
         return self.raw[key]
+
+    def present(self, *keys) -> dict:
+        """The values of those ``keys`` the file sets; the callee's defaults cover the rest."""
+        return {k: self.raw[k] for k in keys if k in self.raw}
 
 
 def parse_config(path, experiment: str | None = None) -> RunConfig:
@@ -175,19 +191,11 @@ def parse_config(path, experiment: str | None = None) -> RunConfig:
 
 
 def _initial_profile(cfg: RunConfig):
-    kind = cfg.get("initial", "gaussian")
-    amp = cfg.get("amplitude", 1.0)
-    width = cfg.get("width", 2.0)
-    if kind == "gaussian":
-        return gaussian_profile(amplitude=amp, width=width)
-    if kind.startswith("packet"):
-        inner = kind[len("packet") :].strip("() ")
-        parts = [_parse_float(tok) for tok in inner.split(",")] if inner else []
-        center = parts[0] if len(parts) > 0 else cfg.get("center", 0.0)
-        w = parts[1] if len(parts) > 1 else width
-        freq = parts[2] if len(parts) > 2 else cfg.get("freq", 0.0)
-        return gaussian_profile(amplitude=amp, width=w, center=center, freq=freq)
-    raise ConfigError(f"unknown initial data kind {kind!r}")
+    """A gaussian reads amplitude and width; a packet also center and freq."""
+    keys = ("amplitude", "width")
+    if cfg.get("initial") == "packet":
+        keys += ("center", "freq")
+    return gaussian_profile(**cfg.present(*keys))
 
 
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
@@ -240,17 +248,11 @@ def _report_rows(exp: str, report: dict) -> tuple[list[str], list]:
 
 
 def _run_solve(cfg: RunConfig, out_dir: Path) -> dict:
-    params = cfg.params
-    extent = cfg.get("extent", 51.2)
-    if "h" in cfg.raw:
-        grid = grid_for(extent, cfg.require("h"))
-    else:
-        n = cfg.require("n_points")
-        grid = grid_for(extent, extent / n)
+    grid = grid_for(cfg.get("extent", 51.2), cfg.require("h"))
     tg = TimeGrid(T=cfg.require("T"), m_steps=cfg.get("m_steps", 128))
     f = _initial_profile(cfg)
     t0 = time.perf_counter()
-    traj = solve(params, grid, tg, f, tol=cfg.get("tol", 1e-10))
+    traj = solve(cfg.params, grid, tg, f, **cfg.present("tol"))
     wall = time.perf_counter() - t0
     blob = b"".join(
         field_to_bytes(traj.snapshot(i), t=float(t)) for i, t in enumerate(traj.times)
@@ -281,30 +283,25 @@ def run(cfg: RunConfig, out_dir, workers: int = 1) -> int:
     t0 = time.perf_counter()
     exp = cfg.experiment
     try:
+        # only the keys the file sets are passed on: each default lives in
+        # the signature of the harness entry point
         if exp == "symbol":
             report = run_symbol_checks(
-                cfg.get("alphas", [cfg.get("alpha", 1.5)]),
-                beta=cfg.get("beta", 0.85),
+                cfg.get("alphas", [cfg.get("alpha", 1.5)]), **cfg.present("beta")
             )
         elif exp == "mass":
             report = run_mass_uniformity(
                 cfg.params,
                 cfg.require("h_list"),
                 _initial_profile(cfg),
-                extent=cfg.get("extent", 51.2),
-                T=cfg.get("T", 1.0),
-                n_times=cfg.get("n_times", 96),
+                **cfg.present("extent", "T", "n_times"),
                 workers=workers,
             )
         elif exp == "smoothing":
             report = run_smoothing_experiment(
                 cfg.params,
                 cfg.require("h_list"),
-                extent=cfg.get("extent", 51.2),
-                T=cfg.get("T", 1.0),
-                n_times=cfg.get("n_times", 64),
-                eps=cfg.get("eps", 0.01),
-                packet_width=cfg.get("packet_width"),
+                **cfg.present("extent", "T", "n_times", "eps", "packet_width"),
                 workers=workers,
             )
         elif exp == "continuum":
@@ -313,20 +310,11 @@ def run(cfg: RunConfig, out_dir, workers: int = 1) -> int:
                 cfg.require("h_list"),
                 cfg.require("h_ref"),
                 _initial_profile(cfg),
-                extent=cfg.get("extent", 51.2),
-                T=cfg.get("T", 0.4),
-                m_steps=cfg.get("m_steps", 256),
-                linear_only=cfg.get("linear_only", False),
-                tol=cfg.get("tol", 1e-10),
-                ratio_cap=cfg.get("ratio_cap", 0.5),
+                **cfg.present("extent", "T", "m_steps", "linear_only", "tol", "ratio_cap"),
                 workers=workers,
             )
         elif exp == "ml-check":
-            report = run_ml_check(
-                betas=tuple(cfg.get("betas", (0.6, 0.75, 0.8, 0.9))),
-                n_radii=cfg.get("n_radii", 50),
-                r_max=cfg.get("r_max", 50.0),
-            )
+            report = run_ml_check(**cfg.present("betas", "n_radii", "r_max"))
         elif exp == "solve":
             report = _run_solve(cfg, out_dir)
         else:  # pragma: no cover - guarded by parse_config

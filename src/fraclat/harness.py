@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -52,55 +51,11 @@ from .symbol import (
     find_xi1,
     normalization_constant,
     normalization_constant_closed_form,  # unused here; perfbench/tracer.py wraps it
+    phi_eval,
     w_eval,
-    w_on_dft_grid,
     w_prime,
     w_second,
 )
-
-
-@dataclass(frozen=True)
-class SmoothingReport:
-    """Per-h smoothing quotients for the filtered and unfiltered branches."""
-
-    h_list: list
-    unfiltered: list
-    filtered: list
-
-    def __post_init__(self) -> None:
-        if any(q <= 0.0 for q in list(self.unfiltered) + list(self.filtered)):
-            raise ValueError("SmoothingReport: quotients must be positive")
-
-    def growth_ratios(self) -> tuple[list, list]:
-        ru = [self.unfiltered[i + 1] / self.unfiltered[i] for i in range(len(self.unfiltered) - 1)]
-        rf = [self.filtered[i + 1] / self.filtered[i] for i in range(len(self.filtered) - 1)]
-        return ru, rf
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """(h, error) series against the reference plus the fitted order."""
-
-    pairs: list  # (h, err) with err = sup_t H^s distance
-    fitted_order: float
-    target_order: float
-    lambda_errors: list
-    l2_errors: list
-    T_used: float
-    monotone: bool
-    lambda_monotone: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "pairs": [[h, e] for h, e in self.pairs],
-            "l2_errors": [[h, e] for h, e in self.l2_errors],
-            "lambda_errors": [[h, e] for h, e in self.lambda_errors],
-            "fitted_order": self.fitted_order,
-            "target_order": self.target_order,
-            "T_used": self.T_used,
-            "monotone": self.monotone,
-            "lambda_monotone": self.lambda_monotone,
-        }
 
 
 def fit_order(pairs) -> float:
@@ -157,8 +112,11 @@ def spectral_mass_near(field: LatticeField, center: float, halfwidth: float) -> 
 # ---------------------------------------------------------------------------
 
 
-def run_symbol_checks(alpha_list, beta: float = 0.85, grid_points: int = 10_000,
-                      table_points: int = 200) -> dict:
+# rows per alpha of the symbol CSV's (xi, w, w', w'', phi_h) table
+_TABLE_POINTS = 200
+
+
+def run_symbol_checks(alpha_list, beta: float = 0.85, grid_points: int = 10_000) -> dict:
     """Grid verification of the dispersion-symbol properties, one entry per alpha.
 
     Each entry also carries a coarse (xi, w, w', w'', phi_h) table at h = 1
@@ -201,7 +159,7 @@ def run_symbol_checks(alpha_list, beta: float = 0.85, grid_points: int = 10_000,
         fd_w_err = float(np.max(np.abs(fd1 - np.asarray(w_prime(cfg, mids)))))
         fd_wp_err = float(np.max(np.abs(fd2 - np.asarray(w_second(cfg, mids)))))
 
-        xt = np.linspace(1e-3, math.pi, table_points)
+        xt = np.linspace(1e-3, math.pi, _TABLE_POINTS)
         wt = np.asarray(w_eval(cfg, xt))
         table = np.column_stack(
             [xt, wt, np.asarray(w_prime(cfg, xt)), np.asarray(w_second(cfg, xt)),
@@ -256,6 +214,10 @@ def grid_for(extent: float, h: float) -> LatticeGrid:
     return LatticeGrid(h=h, n_points=n)
 
 
+# largest admissible relative spread max/min - 1 of the mass ratios
+_MASS_THRESHOLD = 0.05
+
+
 def run_mass_uniformity(
     params: ModelParams,
     h_list,
@@ -263,7 +225,6 @@ def run_mass_uniformity(
     extent: float = 51.2,
     T: float = 1.0,
     n_times: int = 96,
-    threshold: float = 0.05,
     workers: int = 1,
 ) -> dict:
     """sup_t ||L_{h,t} f_h|| / ||f_h|| across an h-sweep at fixed extent."""
@@ -288,8 +249,8 @@ def run_mass_uniformity(
         "experiment": "mass",
         "entries": entries,
         "variation": variation,
-        "threshold": threshold,
-        "pass": bool(variation is not None and variation < threshold),
+        "threshold": _MASS_THRESHOLD,
+        "pass": bool(variation is not None and variation < _MASS_THRESHOLD),
     }
 
 
@@ -301,11 +262,14 @@ def run_mass_uniformity(
 def _phase_evolution(u0: LatticeField, params: ModelParams, times: np.ndarray) -> SolutionTrajectory:
     """Linear evolution under the leading-order phase e^{-i t phi_h(xi)}."""
     grid = u0.grid
-    wv = w_on_dft_grid(SymbolConfig(alpha=params.alpha), grid.n_points)
-    phi = grid.h**-params.sigma * wv ** (1.0 / params.beta)
+    phi = phi_eval(SymbolConfig(alpha=params.alpha), grid.h, grid.freqs(), params.beta)
     values = sfft.ifft(np.exp(-1j * times[:, None] * phi) * sfft.fft(u0.values), axis=-1)
     tg = TimeGrid(T=float(times[-1]), m_steps=len(times) - 1)
     return SolutionTrajectory(timegrid=tg, grid=grid, values=values)
+
+
+# the share of a packet's spectral mass that must sit within 0.2 of xi = pi
+_MIN_SPECTRAL_MASS = 0.95
 
 
 def run_smoothing_experiment(
@@ -316,7 +280,6 @@ def run_smoothing_experiment(
     n_times: int = 64,
     eps: float = 0.01,
     packet_width: float | None = None,
-    min_spectral_mass: float = 0.95,
     workers: int = 1,
 ) -> dict:
     """Filtered-vs-unfiltered smoothing quotients for Nyquist packet data.
@@ -348,13 +311,13 @@ def run_smoothing_experiment(
         return out
 
     entries = _fan_out(one, h_list, workers)
-    quotients = SmoothingReport(
-        h_list=list(h_list),
-        unfiltered=[e["unfiltered"] for e in entries],
-        filtered=[e["filtered"] for e in entries],
-    )
-    ratios_unf, ratios_fil = quotients.growth_ratios()
-    mass_ok = all(e["packet_spectral_mass"] >= min_spectral_mass for e in entries)
+    unf = [e["unfiltered"] for e in entries]
+    fil = [e["filtered"] for e in entries]
+    if any(q <= 0.0 for q in unf + fil):
+        raise ValueError("run_smoothing_experiment: quotients must be positive")
+    ratios_unf = [b / a for a, b in zip(unf, unf[1:])]
+    ratios_fil = [b / a for a, b in zip(fil, fil[1:])]
+    mass_ok = all(e["packet_spectral_mass"] >= _MIN_SPECTRAL_MASS for e in entries)
     return {
         "experiment": "smoothing",
         "h_list": list(h_list),
@@ -396,6 +359,10 @@ def _trajectory_errors(
     return rep.eta2, err_l2, rep.lam
 
 
+# horizon shrinks (T -> 0.6 T each) before the continuum study gives up
+_MAX_SHRINK = 4
+
+
 def run_continuum_study(
     params: ModelParams,
     h_list,
@@ -407,7 +374,6 @@ def run_continuum_study(
     linear_only: bool = False,
     tol: float = 1e-10,
     ratio_cap: float = 0.5,
-    max_shrink: int = 4,
     workers: int = 1,
 ) -> dict:
     """Mesh-refinement study against a fine continuum reference.
@@ -422,7 +388,7 @@ def run_continuum_study(
         raise ValueError("h_ref must be at most min(h_list)/4")
 
     T_used = T
-    for _attempt in range(max_shrink + 1):
+    for _attempt in range(_MAX_SHRINK + 1):
         try:
             tg = TimeGrid(T=T_used, m_steps=m_steps)
 
@@ -470,27 +436,27 @@ def run_continuum_study(
         order = float("nan")
     errs = [e for _, e in pairs]
     lam_errs = [e for _, e in lam_errors]
-    report = ConvergenceReport(
-        pairs=pairs,
-        fitted_order=order,
-        target_order=2.0 - params.alpha,
-        lambda_errors=lam_errors,
-        l2_errors=l2_errors,
-        T_used=T_used,
-        monotone=bool(all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))),
-        lambda_monotone=bool(
-            all(lam_errs[i] > lam_errs[i + 1] for i in range(len(lam_errs) - 1))
-        ),
-    )
-    out = {"experiment": "continuum", "linear_only": linear_only}
-    out.update(report.as_dict())
-    out["residuals"] = residual_log
-    out["ref_residuals"] = ref.residuals
+    monotone = all(a > b for a, b in zip(errs, errs[1:]))
+    lambda_monotone = all(a > b for a, b in zip(lam_errs, lam_errs[1:]))
     if linear_only:
-        out["pass"] = bool(abs(order - (2.0 - params.alpha)) <= 0.3)
+        passed = abs(order - (2.0 - params.alpha)) <= 0.3
     else:
-        out["pass"] = bool(report.monotone and report.lambda_monotone and order >= 0.2)
-    return out
+        passed = monotone and lambda_monotone and order >= 0.2
+    return {
+        "experiment": "continuum",
+        "linear_only": linear_only,
+        "pairs": [[h, e] for h, e in pairs],
+        "l2_errors": [[h, e] for h, e in l2_errors],
+        "lambda_errors": [[h, e] for h, e in lam_errors],
+        "fitted_order": order,
+        "target_order": 2.0 - params.alpha,
+        "T_used": T_used,
+        "monotone": monotone,
+        "lambda_monotone": lambda_monotone,
+        "residuals": residual_log,
+        "ref_residuals": ref.residuals,
+        "pass": bool(passed),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +464,15 @@ def run_continuum_study(
 # ---------------------------------------------------------------------------
 
 
+# the oracle's working digits and the largest relative error that passes
+_ORACLE_DIGITS = 100
+_ML_TOL_REQUIRED = 1e-9
+
+
 def run_ml_check(
     betas=(0.6, 0.75, 0.8, 0.9),
     n_radii: int = 50,
     r_max: float = 50.0,
-    tol_required: float = 1e-9,
-    oracle_digits: int = 100,
 ) -> dict:
     """Sector-ray comparison of the fast evaluators against the series oracle."""
     results = []
@@ -514,8 +483,8 @@ def run_ml_check(
         # every later point reuses it
         for r in np.linspace(0.0, r_max, n_radii)[::-1]:
             z = complex(r) * cmath.exp(-1j * beta * math.pi / 2.0)
-            ref_e = ml_oracle(beta, z, 1.0, digits=oracle_digits)
-            ref_ee = ml_oracle(beta, z, beta, digits=oracle_digits)
+            ref_e = ml_oracle(beta, z, 1.0, digits=_ORACLE_DIGITS)
+            ref_ee = ml_oracle(beta, z, beta, digits=_ORACLE_DIGITS)
             worst_e = max(worst_e, abs(ml_e(beta, z) - ref_e) / abs(ref_e))
             worst_ee = max(worst_ee, abs(ml_ee(beta, z) - ref_ee) / abs(ref_ee))
             sup_e = max(sup_e, abs(ref_e))
@@ -525,7 +494,7 @@ def run_ml_check(
                 "max_rel_err_ml_e": worst_e,
                 "max_rel_err_ml_ee": worst_ee,
                 "sup_|E_beta|_on_ray": sup_e,
-                "pass": bool(max(worst_e, worst_ee) <= tol_required),
+                "pass": bool(max(worst_e, worst_ee) <= _ML_TOL_REQUIRED),
             }
         )
     return {

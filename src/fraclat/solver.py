@@ -210,14 +210,12 @@ class SolutionTrajectory:
 class SymbolTable:
     """Per-mode dispersion multipliers and the kernel tables built from them."""
 
-    def __init__(self, grid: LatticeGrid, params: ModelParams, kind: str = "lattice",
-                 ml_tol: float = GRID_TOL):
+    def __init__(self, grid: LatticeGrid, params: ModelParams, kind: str = "lattice"):
         if kind not in ("lattice", "continuum"):
             raise ValueError(f"symbol kind must be 'lattice' or 'continuum': {kind}")
         self.grid = grid
         self.params = params
         self.kind = kind
-        self.ml_tol = ml_tol
         if kind == "lattice":
             wvals = w_on_dft_grid(SymbolConfig(alpha=params.alpha), grid.n_points)
             self.mu = wvals / grid.h**params.alpha
@@ -237,7 +235,7 @@ class SymbolTable:
         tpow = timegrid.times**b
         z = self.params.phase_unit * np.multiply.outer(tpow, self.distinct_mu).astype(np.complex128)
         # take, unlike fancy indexing, keeps the (nodes, modes) gather row-major
-        return ml_e_grid(b, z, tol=self.ml_tol).take(self.mode_index, axis=-1)
+        return ml_e_grid(b, z, tol=GRID_TOL).take(self.mode_index, axis=-1)
 
     def duhamel_tables(self, timegrid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
         """Product-integration weights A, B of shape (m_steps, n_points).
@@ -247,7 +245,7 @@ class SymbolTable:
         A[l-1]*g(t_j) + B[l-1]*g(t_{j+1}).  Columns are ordered as in
         propagator_table.
         """
-        A, B = _duhamel_weight_tables(timegrid, self.distinct_mu, self.params, self.ml_tol)
+        A, B = _duhamel_weight_tables(timegrid, self.distinct_mu, self.params)
         # fancy indexing leaves them column-major: the mode-major layout
         # _FoldedKernel keeps, which then needs no transposing copy
         return A[:, self.mode_index], B[:, self.mode_index]
@@ -276,20 +274,6 @@ def _duhamel_nodes(timegrid: TimeGrid, beta: float, n_nodes: int = 8):
     return taus, wfac, phi_a
 
 
-def duhamel_weights(timegrid: TimeGrid, mu: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel weights for a single mode; returns (A, B), each of length m_steps.
-
-    For target node t_n and source interval [t_j, t_{j+1}] the pair at lag
-    l = n - j approximates
-    int (t_n - s)^{beta-1} E_{beta,beta}(i^{-beta}(t_n-s)^{beta} mu) g(s) ds
-    by A[l-1] g(t_j) + B[l-1] g(t_{j+1}) for piecewise-linear g.
-    """
-    if mu < 0.0:
-        raise ValueError("duhamel_weights: mu must be >= 0")
-    A, B = _duhamel_weight_tables(timegrid, np.array([float(mu)]), params, GRID_TOL)
-    return A[:, 0], B[:, 0]
-
-
 # modes per ml_ee_grid call in _duhamel_weight_tables: bounds the evaluator's
 # temporaries at about 8 * m_steps * _MODE_CHUNK points
 _MODE_CHUNK = 512
@@ -299,8 +283,15 @@ def _duhamel_weight_tables(
     timegrid: TimeGrid,
     mus: np.ndarray,
     params: ModelParams,
-    ml_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Product-integration weights A, B of shape (m_steps, len(mus)).
+
+    For target node t_n and source interval [t_j, t_{j+1}] the pair at lag
+    l = n - j approximates
+    int (t_n - s)^{beta-1} E_{beta,beta}(i^{-beta}(t_n-s)^{beta} mu) g(s) ds
+    by A[l-1] g(t_j) + B[l-1] g(t_{j+1}) for piecewise-linear g; column k
+    belongs to mus[k] >= 0.
+    """
     beta = params.beta
     taus, wfac, phi_a = _duhamel_nodes(timegrid, beta)
     M, n_nodes = taus.shape
@@ -314,7 +305,7 @@ def _duhamel_weight_tables(
     for lo in range(0, K, _MODE_CHUNK):
         hi = min(lo + _MODE_CHUNK, K)
         z = unit * tb[:, :, None] * mus[None, None, lo:hi]
-        ek = ml_ee_grid(beta, z.reshape(M * n_nodes, -1), tol=ml_tol).reshape(M, n_nodes, hi - lo)
+        ek = ml_ee_grid(beta, z.reshape(M * n_nodes, -1), tol=GRID_TOL).reshape(M, n_nodes, hi - lo)
         A[:, lo:hi] = np.einsum("li,lik->lk", wa, ek)
         B[:, lo:hi] = np.einsum("li,lik->lk", wb, ek)
     return A, B
@@ -420,7 +411,6 @@ def solve(
     k_max: int = 60,
     nonlinear: bool = True,
     forcing=None,
-    ml_tol: float = GRID_TOL,
     initial_field: LatticeField | None = None,
 ) -> SolutionTrajectory:
     """Picard construction of the solution to the memory integral equation.
@@ -456,7 +446,7 @@ def solve(
     if nonlinear and run_params.use_filter:
         grid.coarse()  # the filter's sub-lattice: n_points % 4 == 0
 
-    table = SymbolTable(grid, params, kind=symbol_source, ml_tol=ml_tol)
+    table = SymbolTable(grid, params, kind=symbol_source)
     LIN = table.propagator_table(timegrid)
     LIN *= sfft.fft(u0.values)
     lin_phys = sfft.ifft(LIN, axis=-1)

@@ -43,28 +43,10 @@ class SymbolConfig:
 
     alpha: float
     normalize: bool = True
-    beta: float | None = None
 
     def __post_init__(self) -> None:
         if not 1.0 < self.alpha < 2.0:
             raise ValueError(f"SymbolConfig: alpha must be in (1, 2), got {self.alpha}")
-        if self.beta is not None and not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"SymbolConfig: beta must be in (0, 1], got {self.beta}")
-
-
-@dataclass(frozen=True)
-class CriticalPoints:
-    """Distinguished frequencies: w''(xi0) = 0, phi''(xi1) = 0, w'(xi2) = 0."""
-
-    xi0: float
-    xi1: float
-    xi2: float = math.pi
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.xi0 < math.pi / 2.0:
-            raise ValueError(f"xi0 = {self.xi0} outside (0, pi/2)")
-        if not self.xi0 <= self.xi1 < math.pi:
-            raise ValueError(f"xi1 = {self.xi1} outside [xi0, pi)")
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +129,13 @@ def w_second(cfg: SymbolConfig, xi):
 # ---------------------------------------------------------------------------
 
 
-def phi_eval(cfg: SymbolConfig, h: float, xi, beta: float | None = None):
+def phi_eval(cfg: SymbolConfig, h: float, xi, beta: float):
     """Phase phi_h(xi) = h^{-sigma} w(xi)^{1/beta} with sigma = alpha/beta."""
-    b = beta if beta is not None else cfg.beta
-    if b is None:
-        raise ValueError("phi_eval: beta required (set SymbolConfig.beta or pass beta=)")
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"phi_eval: beta must be in (0, 1], got {beta}")
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"phi_eval: h must be positive and finite, got {h}")
-    sigma = cfg.alpha / b
-    w = w_eval(cfg, xi)
-    return h**-sigma * np.asarray(w) ** (1.0 / b) if not np.isscalar(w) else h**-sigma * w ** (1.0 / b)
+    return h ** -(cfg.alpha / beta) * w_eval(cfg, xi) ** (1.0 / beta)
 
 
 def _phi_second_sign_fn(cfg: SymbolConfig, beta: float):
@@ -225,6 +204,3 @@ def find_xi1(cfg: SymbolConfig, beta: float, grid_points: int = 800) -> float:
     i = changes[0]
     return _bisect(g, xs[i], xs[i + 1], vals[i])
 
-
-def critical_points(cfg: SymbolConfig, beta: float) -> CriticalPoints:
-    return CriticalPoints(xi0=find_xi0(cfg), xi1=find_xi1(cfg, beta))

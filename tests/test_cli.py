@@ -1,10 +1,17 @@
 """Config parsing, validation messages, run orchestration, determinism."""
 
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fraclat.cli as cli
 from fraclat.cli import ConfigError, describe, main, parse_config, run
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.cfg"))
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -110,6 +117,112 @@ class TestParseConfig:
         p = write(tmp_path, MINIMAL_MASS)
         with pytest.raises(ConfigError, match="subcommand"):
             parse_config(p, experiment="symbol")
+
+    @pytest.mark.parametrize("kind", ["foo", "packetX", "packet(0.0, 2.0, 1.5)"])
+    def test_unknown_initial_kind_rejected(self, tmp_path, kind):
+        p = write(tmp_path, f"{MINIMAL_SYMBOL}initial = {kind}\n")
+        line = MINIMAL_SYMBOL.count("\n") + 1
+        with pytest.raises(ConfigError, match=rf":{line}: bad value for 'initial': unknown initial data kind {re.escape(repr(kind))}"):
+            parse_config(p)
+        assert main(["symbol", "--config", str(p)]) == 2
+
+    def test_n_points_key_rejected(self, tmp_path):
+        # the solve experiment's lattice is set by h and extent alone
+        p = write(tmp_path, "experiment = solve\nalpha = 1.5\nbeta = 0.85\nn_points = 32\n")
+        with pytest.raises(ConfigError, match=r":4: unknown key 'n_points'"):
+            parse_config(p)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_committed_config_parses_and_describes(path, capsys):
+    cfg = parse_config(path)
+    assert main([cfg.experiment, "--config", str(path), "--describe"]) == 0
+    assert "admissibility conditions" in capsys.readouterr().out
+
+
+def test_all_six_configs_committed():
+    assert {p.stem for p in CONFIGS} == {"symbol", "mass", "smoothing", "continuum", "ml_check", "solve"}
+
+
+# values of each parser's type, and how a config file spells them
+_VALUES = {
+    cli._parse_float: (st.floats(allow_nan=False, allow_infinity=False), repr),
+    cli._parse_float_list: (
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+        lambda v: ", ".join(map(repr, v)),
+    ),
+    int: (st.integers(-10**6, 10**6), str),
+    cli._parse_bool: (st.booleans(), lambda v: "true" if v else "off"),
+    cli._parse_initial: (st.sampled_from(cli._INITIAL_KINDS), str),
+}
+_COMMENT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).map(lambda t: "#" + t)
+
+
+@st.composite
+def config_files(draw):
+    """(lines, values): the lines of a parseable file and the dict it must parse to."""
+    # symbol and ml-check build no ModelParams, so every key may take any
+    # value its parser accepts
+    values = {"experiment": draw(st.sampled_from(["symbol", "ml-check"]))}
+    keys = [k for k in cli._KEY_PARSERS if k != "experiment"]
+    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=8)):
+        strategy, _ = _VALUES[cli._KEY_PARSERS[key]]
+        values[key] = draw(strategy)
+    lines = []
+    for key, value in values.items():
+        spell = str if key == "experiment" else _VALUES[cli._KEY_PARSERS[key]][1]
+        lines.extend(draw(st.lists(st.sampled_from(["", "   "]) | _COMMENT, max_size=2)))
+        tail = draw(st.sampled_from(["", "  "]) | _COMMENT.map(lambda c: " " + c))
+        lines.append(f"{key} = {spell(value)}{tail}")
+    return lines, values
+
+
+def _parse_lines(lines):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "run.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        return parse_config(path)
+
+
+class TestConfigProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(config_files())
+    def test_round_trip(self, drawn):
+        lines, values = drawn
+        cfg = _parse_lines(lines)
+        assert cfg.experiment == values["experiment"]
+        assert cfg.raw == values
+
+    @settings(max_examples=40, deadline=None)
+    @given(config_files(), st.data())
+    def test_line_without_equals_names_its_line(self, drawn, data):
+        lines, _ = drawn
+        i = data.draw(st.integers(0, len(lines)))
+        bad = data.draw(st.text(st.characters(min_codepoint=33, max_codepoint=126,
+                                              blacklist_characters="=#"), min_size=1, max_size=8))
+        with pytest.raises(ConfigError, match=rf"run\.cfg:{i + 1}: expected 'key = value'"):
+            _parse_lines(lines[:i] + [bad] + lines[i:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(config_files(), st.data())
+    def test_unknown_key_names_its_line(self, drawn, data):
+        lines, _ = drawn
+        i = data.draw(st.integers(0, len(lines)))
+        key = data.draw(st.from_regex(r"[a-z_]{1,10}", fullmatch=True).filter(
+            lambda k: k not in cli._KEY_PARSERS))
+        with pytest.raises(ConfigError, match=rf"run\.cfg:{i + 1}: unknown key '{key}'"):
+            _parse_lines(lines[:i] + [f"{key} = 1"] + lines[i:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(config_files(), st.data())
+    def test_duplicate_key_names_its_line(self, drawn, data):
+        lines, _ = drawn
+        setting = [j for j, line in enumerate(lines) if "=" in line.split("#", 1)[0]]
+        j = data.draw(st.sampled_from(setting))
+        i = data.draw(st.integers(j + 1, len(lines)))
+        key = lines[j].split("=", 1)[0].strip()
+        with pytest.raises(ConfigError, match=rf"run\.cfg:{i + 1}: duplicate key '{key}'"):
+            _parse_lines(lines[:i] + [lines[j]] + lines[i:])
 
 
 class TestDescribe:
@@ -227,9 +340,58 @@ h = 0.4
 extent = 12.8
 T = 0.1
 m_steps = 8
-initial = packet(0.0, 2.0, 1.5)
+initial = packet
+center = 0.0
+width = 2.0
+freq = 1.5
 amplitude = 0.4
 """
         cfg = parse_config(write(tmp_path, cfg_text))
         out = tmp_path / "pk"
         assert run(cfg, out) == 0
+
+
+class _Spy:
+    """Stands in for a harness entry point and keeps the arguments of its call."""
+
+    def __init__(self, report):
+        self.report = report
+        self.args = self.kwargs = None
+
+    def __call__(self, *args, **kwargs):
+        self.args, self.kwargs = args, kwargs
+        return self.report
+
+
+class TestForwarding:
+    """cli.run hands a harness entry point only the keys its config sets."""
+
+    MASS_OPTIONAL = "extent = 12.8\nT = 0.25\nn_times = 8\n"
+    CONTINUUM_OPTIONAL = (
+        "extent = 12.8\nT = 0.3\nm_steps = 16\nlinear_only = true\ntol = 1e-8\nratio_cap = 0.4\n"
+    )
+
+    @pytest.mark.parametrize("optional", [False, True])
+    def test_mass(self, tmp_path, monkeypatch, optional):
+        spy = _Spy({"entries": [], "pass": True})
+        monkeypatch.setattr(cli, "run_mass_uniformity", spy)
+        text = "experiment = mass\nalpha = 1.5\nbeta = 0.85\nh_list = 0.4, 0.2\n"
+        text += self.MASS_OPTIONAL if optional else ""
+        assert run(parse_config(write(tmp_path, text)), tmp_path / "out", workers=3) == 0
+        expected = {"extent": 12.8, "T": 0.25, "n_times": 8} if optional else {}
+        assert spy.kwargs == {**expected, "workers": 3}
+        assert spy.args[1] == [0.4, 0.2]
+
+    @pytest.mark.parametrize("optional", [False, True])
+    def test_continuum(self, tmp_path, monkeypatch, optional):
+        spy = _Spy({"pairs": [], "l2_errors": [], "lambda_errors": [], "pass": True})
+        monkeypatch.setattr(cli, "run_continuum_study", spy)
+        text = "experiment = continuum\nalpha = 1.5\nbeta = 0.85\nh_list = 0.4, 0.2, 0.1\nh_ref = 0.025\n"
+        text += self.CONTINUUM_OPTIONAL if optional else ""
+        assert run(parse_config(write(tmp_path, text)), tmp_path / "out") == 0
+        expected = (
+            {"extent": 12.8, "T": 0.3, "m_steps": 16, "linear_only": True, "tol": 1e-8, "ratio_cap": 0.4}
+            if optional else {}
+        )
+        assert spy.kwargs == {**expected, "workers": 1}
+        assert spy.args[1:3] == ([0.4, 0.2, 0.1], 0.025)

@@ -27,7 +27,6 @@ from fraclat.solver import (
     SymbolTable,
     TimeGrid,
     apply_nonlinearity,
-    duhamel_weights,
     prepare_initial,
     solve,
     solve_continuum_reference,
@@ -137,11 +136,17 @@ class TestTimeGrid:
                 TimeGrid(T=T, m_steps=4)
 
 
+def mode_weights(tg, mu, params):
+    """The (A, B) columns of the weight tables for the single mode mu."""
+    A, B = _duhamel_weight_tables(tg, np.array([mu]), params)
+    return A[:, 0], B[:, 0]
+
+
 class TestDuhamelWeights:
     def test_beta_one_mu_zero_trapezoid(self):
         params = ModelParams(alpha=1.5, beta=1.0)
         tg = TimeGrid(T=0.8, m_steps=8)
-        A, B = duhamel_weights(tg, 0.0, params)
+        A, B = mode_weights(tg, 0.0, params)
         assert np.allclose(A, tg.dt / 2.0, atol=1e-14)
         assert np.allclose(B, tg.dt / 2.0, atol=1e-14)
 
@@ -151,7 +156,7 @@ class TestDuhamelWeights:
         b = params.beta
         tg = TimeGrid(T=0.4, m_steps=16)
         dt = tg.dt
-        A, B = duhamel_weights(tg, 0.0, params)
+        A, B = mode_weights(tg, 0.0, params)
 
         def moments(lo, hi):
             m0 = (hi**b - lo**b) / b
@@ -170,7 +175,7 @@ class TestDuhamelWeights:
         # oracle: mpmath adaptive quadrature of tau^{b-1} E_{b,b}(i^{-b} tau^b mu) phi(tau)
         params = ModelParams(alpha=1.5, beta=0.85)
         tg = TimeGrid(T=0.01 * 64, m_steps=64)  # dt = 0.01
-        A, B = duhamel_weights(tg, 3.0, params)
+        A, B = mode_weights(tg, 3.0, params)
         refs = {
             1: (0.00979511858645928 - 0.00047974974649439j,
                 0.0114672168154942 - 0.000280979228093179j),
@@ -186,11 +191,6 @@ class TestDuhamelWeights:
             tol = dict(abs=2e-7) if lag == 1 else dict(rel=1e-9)
             assert A[lag - 1] == pytest.approx(a_ref, **tol)
             assert B[lag - 1] == pytest.approx(b_ref, **tol)
-
-    def test_negative_mu_rejected(self):
-        params = ModelParams(alpha=1.5, beta=0.85)
-        with pytest.raises(ValueError):
-            duhamel_weights(TimeGrid(T=1.0, m_steps=4), -1.0, params)
 
     def test_convolution_matches_direct_sum(self):
         # the folded kernel against the O(M^2) double sum; a large G[0] makes
@@ -256,13 +256,13 @@ class TestSymbolTable:
         tg = TimeGrid(T=0.4, m_steps=16)
         tab = SymbolTable(grid, params, kind=kind)
         z = params.phase_unit * np.multiply.outer(tg.times**params.beta, tab.mu)
-        full = ml_e_grid(params.beta, z.astype(complex), tol=tab.ml_tol)
+        full = ml_e_grid(params.beta, z.astype(complex), tol=GRID_TOL)
         prop = tab.propagator_table(tg)
-        assert np.abs(prop - full).max() <= tab.ml_tol * np.abs(full).max()
-        A_full, B_full = _duhamel_weight_tables(tg, tab.mu, params, tab.ml_tol)
+        assert np.abs(prop - full).max() <= GRID_TOL * np.abs(full).max()
+        A_full, B_full = _duhamel_weight_tables(tg, tab.mu, params)
         A, B = tab.duhamel_tables(tg)
         for got, ref in ((A, A_full), (B, B_full)):
-            assert np.abs(got - ref).max() <= tab.ml_tol * np.abs(ref).max()
+            assert np.abs(got - ref).max() <= GRID_TOL * np.abs(ref).max()
 
 
 class TestPrepareInitial:
@@ -553,7 +553,7 @@ def _site_order_reference(params, grid, tg, u0, kind, nonlinear=True, forcing=No
         mu = np.abs(xi / grid.h) ** params.alpha
     z = params.phase_unit * np.multiply.outer(tg.times**params.beta, mu).astype(complex)
     LIN = ml_e_grid(params.beta, z) * dft_rows(u0)
-    A, B = _duhamel_weight_tables(tg, mu, params, GRID_TOL)
+    A, B = _duhamel_weight_tables(tg, mu, params)
     filtered = params.use_filter and kind == "lattice"
 
     def density(U):

@@ -11,9 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraclat.symbol import (
-    CriticalPoints,
     SymbolConfig,
-    critical_points,
     find_xi0,
     find_xi1,
     normalization_constant,
@@ -49,11 +47,6 @@ class TestConfig:
             SymbolConfig(alpha=1.0)
         with pytest.raises(ValueError):
             SymbolConfig(alpha=2.0)
-
-    def test_other_bounds(self):
-        for beta in (0.0, 1.5, math.nan):
-            with pytest.raises(ValueError):
-                SymbolConfig(alpha=1.5, beta=beta)
 
 
 class TestWEval:
@@ -189,9 +182,7 @@ class TestCriticalPoints:
         assert find_xi1(CFG_RAW, 0.85) == pytest.approx(1.01410502027488, abs=1e-9)
 
     def test_xi1_exceeds_xi0(self):
-        cps = critical_points(CFG_RAW, 0.85)
-        assert cps.xi1 > cps.xi0
-        assert cps.xi2 == math.pi
+        assert find_xi0(CFG_RAW) < find_xi1(CFG_RAW, 0.85) < math.pi
 
     def test_beta_one_collapse(self):
         assert find_xi1(CFG_RAW, 1.0) == find_xi0(CFG_RAW)
@@ -199,10 +190,6 @@ class TestCriticalPoints:
     def test_normalization_invariance(self):
         # critical points do not move under the c-normalization
         assert find_xi0(CFG) == pytest.approx(find_xi0(CFG_RAW), abs=1e-11)
-
-    def test_invalid_critical_points_rejected(self):
-        with pytest.raises(ValueError):
-            CriticalPoints(xi0=2.0, xi1=2.5)
 
 
 class TestPhi:
@@ -222,8 +209,13 @@ class TestPhi:
         )
 
     def test_beta_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             phi_eval(CFG_RAW, 0.1, 1.0)
+
+    def test_bad_beta_rejected(self):
+        for beta in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=rf"phi_eval: beta must be in \(0, 1\], got {beta}"):
+                phi_eval(CFG_RAW, 0.1, 1.0, beta)
 
     @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
     def test_bad_mesh_rejected(self, h):
