@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
-import scipy.fft as sfft
 
 from .lattice import (
     LatticeField,
@@ -99,7 +98,7 @@ def nyquist_packet(grid: LatticeGrid, width: float) -> LatticeField:
 
 def spectral_mass_near(field: LatticeField, center: float, halfwidth: float) -> float:
     """Fraction of spectral mass with | |xi| - center | < halfwidth."""
-    c = sfft.fft(field.values)
+    c = np.fft.fft(field.values)
     xi = field.grid.freqs()
     p = np.abs(c) ** 2
     # the +pi and -pi half-neighbourhoods are one aliased neighbourhood
@@ -237,7 +236,7 @@ def run_mass_uniformity(
         nrm0 = norm_lp(u0, 2)
         if nrm0 == 0.0:
             return {"h": h, "ratio": None, "skipped": "zero initial data"}
-        spectra = SymbolTable(grid, params).propagator_table(timegrid) * sfft.fft(u0.values)
+        spectra = SymbolTable(grid, params).propagator_table(timegrid) * np.fft.fft(u0.values)
         # Parseval per node: ||L_{h,t} f_h||^2 = h/M sum |mult c0|^2
         mass = np.sqrt(grid.h / grid.n_points * np.sum(np.abs(spectra) ** 2, axis=-1))
         return {"h": h, "ratio": float(mass.max() / nrm0)}
@@ -263,7 +262,7 @@ def _phase_evolution(u0: LatticeField, params: ModelParams, times: np.ndarray) -
     """Linear evolution under the leading-order phase e^{-i t phi_h(xi)}."""
     grid = u0.grid
     phi = phi_eval(SymbolConfig(alpha=params.alpha), grid.h, grid.freqs(), params.beta)
-    values = sfft.ifft(np.exp(-1j * times[:, None] * phi) * sfft.fft(u0.values), axis=-1)
+    values = np.fft.ifft(np.exp(-1j * times[:, None] * phi) * np.fft.fft(u0.values), axis=-1)
     tg = TimeGrid(T=float(times[-1]), m_steps=len(times) - 1)
     return SolutionTrajectory(timegrid=tg, grid=grid, values=values)
 

@@ -5,7 +5,7 @@ fixed extent L = n_points * h whose initial data decay fast enough that
 wrap-around sits below the noise floor.  Sites are x_m = m h for
 m = -M/2 .. M/2 - 1 and fields are stored in that site order.
 
-Fourier convention: the transform is scipy.fft.fft / ifft along the last
+Fourier convention: the transform is numpy.fft.fft / ifft along the last
 axis of the stored values, and grid.freqs()[j] = 2 pi fftfreq(M)[j] is
 the dimensionless frequency xi_j of coefficient j in that FFT order: zero
 first, -pi at j = M/2.  Coefficient j is (-1)^j times the centred sum
@@ -29,7 +29,6 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as sfft
 
 
 class GridMismatchError(ValueError):
@@ -58,7 +57,7 @@ class LatticeGrid:
         return m * self.h
 
     def freqs(self) -> np.ndarray:
-        """Dimensionless frequencies xi_j in [-pi, pi), in the index order of scipy.fft.fft."""
+        """Dimensionless frequencies xi_j in [-pi, pi), in the index order of numpy.fft.fft."""
         return 2.0 * math.pi * np.fft.fftfreq(self.n_points)
 
     def coarse(self) -> "LatticeGrid":
@@ -219,7 +218,7 @@ def _sobolev_squares(coeffs: np.ndarray, grid: LatticeGrid, s: float) -> np.ndar
 
 def norm_sobolev(field: LatticeField, s: float) -> float:
     """H^s_h norm: quadrature of (1 + h^{-2s} |xi|^{2s}) |u_hat|^2."""
-    return float(math.sqrt(_sobolev_squares(sfft.fft(field.values), field.grid, s)))
+    return float(math.sqrt(_sobolev_squares(np.fft.fft(field.values), field.grid, s)))
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -233,7 +232,8 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 def _smoothing(coeffs: np.ndarray, grid: LatticeGrid, times: np.ndarray, delta: float) -> float:
     """norm_smoothing from the (nodes, sites) DFT coefficients of a trajectory."""
     mult = (1.0 + np.abs(grid.freqs()) / grid.h) ** delta
-    v = sfft.ifft(coeffs * mult, axis=-1, overwrite_x=True)
+    v = coeffs * mult
+    np.fft.ifft(v, axis=-1, out=v)
     tw = _trapezoid_weights(np.asarray(times, dtype=float))
     return float(np.sqrt(np.sum(tw[:, None] * np.abs(v) ** 2, axis=0).max()))
 
@@ -244,7 +244,7 @@ def norm_smoothing(traj, delta: float) -> float:
     Per node the spectral multiplier (1 + |xi|/h)^delta is applied,
     then the time-L^2 per site (trapezoid rule), then the sup over sites.
     """
-    return _smoothing(sfft.fft(traj.values, axis=-1), traj.grid, traj.times, delta)
+    return _smoothing(np.fft.fft(traj.values, axis=-1), traj.grid, traj.times, delta)
 
 
 def norm_maximal(traj, q: float) -> float:
@@ -266,7 +266,7 @@ def lambda_norm(traj, params, *, spectrum: np.ndarray | None = None) -> NormRepo
     factor per mode, so the report is unchanged by a cyclic roll of the
     sites.
     """
-    coeffs = sfft.fft(traj.values, axis=-1) if spectrum is None else spectrum
+    coeffs = np.fft.fft(traj.values, axis=-1) if spectrum is None else spectrum
     eta1 = _smoothing(coeffs, traj.grid, traj.times, params.s + params.sigma - params.alpha)
     eta2 = float(np.sqrt(_sobolev_squares(coeffs, traj.grid, params.s).max()))
     eta3 = norm_maximal(traj, 2.0 * (params.p - 1))

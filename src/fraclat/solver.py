@@ -45,8 +45,6 @@ import cmath
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.special import roots_jacobi, roots_legendre
 
 from .lattice import (
     GridMismatchError,
@@ -251,12 +249,29 @@ class SymbolTable:
         return A[:, self.mode_index], B[:, self.mode_index]
 
 
+def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule for the weight (1 + x)^b on [-1, 1], b > -1, by Golub-Welsch.
+
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix of the Jacobi polynomials P^{(0,b)}: diagonal b/(b+2), then
+    b^2/(c(c+2)), off-diagonal 2k(k+b)/(c sqrt(c^2-1)), with c = 2k+b,
+    k = 1..n-1.  The weights are mu_0 = 2^{b+1}/(b+1), the weight's
+    integral, times the squared first components of the eigenvectors.
+    """
+    k = np.arange(1, n)
+    c = 2.0 * k + b
+    diag = np.concatenate(([b / (b + 2.0)], b * b / (c * (c + 2.0))))
+    off = 2.0 * k * (k + b) / (c * np.sqrt(c * c - 1.0))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 ** (b + 1.0) / (b + 1.0) * vecs[0] ** 2
+
+
 def _duhamel_nodes(timegrid: TimeGrid, beta: float, n_nodes: int = 8):
     """Quadrature nodes/assembled weights per lag (shared across modes)."""
     M = timegrid.m_steps
     dt = timegrid.dt
-    xj, wj = roots_jacobi(n_nodes, 0.0, beta - 1.0)
-    xl, wl = roots_legendre(n_nodes)
+    xj, wj = _gauss_jacobi(n_nodes, beta - 1.0)
+    xl, wl = np.polynomial.legendre.leggauss(n_nodes)
 
     taus = np.empty((M, n_nodes))
     wfac = np.empty((M, n_nodes))
@@ -369,12 +384,13 @@ class _FoldedKernel:
 
     def __init__(self, A: np.ndarray, B: np.ndarray):
         M, K = A.shape
-        # P >= 2M keeps lags 1..M free of wrap-around; lag 0 is set, not read
-        self.size = sfft.next_fast_len(2 * M)
+        # P, the least power of two >= 2M, keeps lags 1..M free of wrap-around;
+        # lag 0 is set, not read
+        self.size = 1 << (2 * M - 1).bit_length()
         C = np.zeros((K, self.size), dtype=np.complex128)
         C[:, :M] = B.T
         C[:, 1 : M + 1] += A.T
-        self.spectrum = sfft.fft(C, axis=-1, overwrite_x=True)
+        self.spectrum = np.fft.fft(C, axis=-1, out=C)
         self.Bt = np.ascontiguousarray(B.T)
 
     def convolve(self, G: np.ndarray) -> np.ndarray:
@@ -387,9 +403,9 @@ class _FoldedKernel:
             X = buf[: hi - lo]
             X[:, : M + 1] = G[:, lo:hi].T
             X[:, M + 1 :] = 0.0
-            X = sfft.fft(X, axis=-1, overwrite_x=True)
+            np.fft.fft(X, axis=-1, out=X)
             X *= self.spectrum[lo:hi]
-            X = sfft.ifft(X, axis=-1, overwrite_x=True)
+            np.fft.ifft(X, axis=-1, out=X)
             X[:, 1:M] -= self.Bt[lo:hi, 1:] * G[0, lo:hi, None]
             D[:, lo:hi] = X[:, : M + 1].T
         D[0] = 0.0
@@ -448,8 +464,8 @@ def solve(
 
     table = SymbolTable(grid, params, kind=symbol_source)
     LIN = table.propagator_table(timegrid)
-    LIN *= sfft.fft(u0.values)
-    lin_phys = sfft.ifft(LIN, axis=-1)
+    LIN *= np.fft.fft(u0.values)
+    lin_phys = np.fft.ifft(LIN, axis=-1)
     lin_phys[0] = u0.values  # t = 0 multiplier is exactly 1
 
     if not nonlinear and forcing is None:
@@ -462,7 +478,7 @@ def solve(
     force_hat = None
     if forcing is not None:
         F = np.stack([np.asarray(forcing(t), dtype=np.complex128) for t in timegrid.times])
-        force_hat = sfft.fft(F, axis=-1, overwrite_x=True)
+        force_hat = np.fft.fft(F, axis=-1, out=F)
 
     U, U_hat = lin_phys, LIN
     residuals: list[float] = []
@@ -470,7 +486,8 @@ def solve(
     bad_streak = 0
     for sweep in range(1, k_max + 1):
         if nonlinear:
-            G_hat = sfft.fft(_batch_nonlinearity(U, run_params), axis=-1, overwrite_x=True)
+            G_hat = _batch_nonlinearity(U, run_params)
+            np.fft.fft(G_hat, axis=-1, out=G_hat)
             if force_hat is not None:
                 G_hat += force_hat
         else:
@@ -478,7 +495,7 @@ def solve(
         U_new_hat = kernel.convolve(G_hat)
         del G_hat  # free the density before the norms allocate
         U_new_hat += LIN
-        U_new = sfft.ifft(U_new_hat, axis=-1)
+        U_new = np.fft.ifft(U_new_hat, axis=-1)
         U_new[0] = u0.values  # D[0] = 0: node 0 is the datum, kept exact
         if not np.isfinite(U_new).all():
             raise NonContractionError(

@@ -45,7 +45,6 @@ import threading
 
 import numpy as np
 import mpmath as mp
-from scipy.special import rgamma as _rgamma
 
 
 class NonConvergenceError(RuntimeError):
@@ -240,6 +239,26 @@ _ASYM_TERMS = 59  # most algebraic terms the asymptotic branch adds
 _CONTOUR_N = 32  # the contour's trapezoid rule has 2N + 1 nodes
 
 
+def _rgamma(xs: np.ndarray) -> np.ndarray:
+    """1/Gamma(x) per entry, in double precision.
+
+    0 at the poles x = 0, -1, -2, ...; where Gamma(x) leaves double range
+    (x > 171.6, or x within ~1e-308 of a pole), exp(-lgamma(x)) with the
+    sign of Gamma(x), which is negative on (-1, 0), (-3, -2), ...
+    """
+    out = np.empty(len(xs))
+    for i, x in enumerate(map(float, xs)):
+        if x <= 0.0 and x == math.floor(x):
+            out[i] = 0.0
+            continue
+        try:
+            out[i] = 1.0 / math.gamma(x)
+        except OverflowError:
+            sign = -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
+            out[i] = sign * math.exp(-math.lgamma(x))
+    return out
+
+
 def _log_env_recip_gamma(g: float) -> float:
     """log of a sine-free envelope of |1/Gamma(g)|.
 
@@ -336,7 +355,9 @@ def _asymp_sum(beta: float, gam: float, zb: np.ndarray,
     1/z runs each term over that suffix only.
     """
     logz = np.log(zb)
-    lead = np.exp(np.exp(logz / beta) + (1.0 - gam) / beta * logz) / beta
+    # a lead term past double range is reported by _ml_grid as MLOverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        lead = np.exp(np.exp(logz / beta) + (1.0 - gam) / beta * logz) / beta
     w = 1.0 / zb
     acc = np.zeros_like(zb)
     for k in range(_ASYM_TERMS, 0, -1):

@@ -1,13 +1,17 @@
 """Config parsing, validation messages, run orchestration, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraclat
 import fraclat.cli as cli
 from fraclat.cli import ConfigError, describe, main, parse_config, run
 
@@ -284,6 +288,15 @@ width = 2.0
         assert csv1 == (out2 / "continuum_data.csv").read_bytes()
         assert len(csv1.splitlines()) == 4
 
+    def test_solve_reports_are_byte_identical(self, tmp_path):
+        # the report holds results only; the run's wall time is in manifest.json
+        cfg = parse_config(next(p for p in CONFIGS if p.stem == "solve"))
+        out1, out2 = tmp_path / "s1", tmp_path / "s2"
+        assert run(cfg, out1) == 0
+        assert run(cfg, out2) == 0
+        for name in ("solve_report.json", "solve_data.csv", "trajectory.bin"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
     def test_solve_run_writes_trajectory(self, tmp_path):
         cfg_text = """
 experiment = solve
@@ -395,3 +408,11 @@ class TestForwarding:
         )
         assert spy.kwargs == {**expected, "workers": 1}
         assert spy.args[1:3] == ([0.4, 0.2, 0.1], 0.025)
+
+
+def test_import_loads_no_scipy():
+    # the package runs on numpy and mpmath alone; scipy is a test dependency
+    env = dict(os.environ, PYTHONPATH=str(Path(fraclat.__file__).resolve().parents[1]))
+    code = "import sys, fraclat, fraclat.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -112,6 +112,37 @@ class TestTransforms:
         assert quadrature == pytest.approx(norm_lp(u, 2) ** 2, rel=1e-12)
 
 
+class TestOperatorProperties:
+    """Parseval and the filter/inject/restrict algebra on random fields."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(4, 160), h=st.floats(0.01, 2.0), seed=st.integers(0, 2**16))
+    def test_parseval(self, half, h, seed):
+        # h sum |u|^2 = (h/M) sum |u_hat|^2
+        u = random_field(LatticeGrid(h=h, n_points=2 * half), seed)
+        c = np.fft.fft(u.values)
+        lhs = h * np.sum(np.abs(u.values) ** 2)
+        assert h / u.grid.n_points * np.sum(np.abs(c) ** 2) == pytest.approx(lhs, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(4, 160), h=st.floats(0.01, 2.0), seed=st.integers(0, 2**16))
+    def test_restrict_undoes_filter_and_inject(self, half, h, seed):
+        c = random_field(LatticeGrid(h=h, n_points=2 * half), seed)
+        assert np.array_equal(restrict(filter_pi(c)).values, c.values)
+        assert np.array_equal(restrict(inject(c)).values, c.values)
+        assert restrict(filter_pi(c)).grid.compatible(c.grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(4, 160), h=st.floats(0.01, 2.0), seed=st.integers(0, 2**16))
+    def test_filter_multiplier(self, half, h, seed):
+        # fft(filter c) = 2 cos^2(xi/2) fft(inject c) on the fine grid
+        c = random_field(LatticeGrid(h=h, n_points=2 * half), seed)
+        fine = filter_pi(c)
+        lhs = np.fft.fft(fine.values)
+        rhs = 2.0 * np.cos(fine.grid.freqs() / 2.0) ** 2 * np.fft.fft(inject(c).values)
+        assert np.abs(lhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
+
+
 class TestFilterInjectRestrict:
     def test_filter_constant(self):
         cg = LatticeGrid(h=0.5, n_points=16)

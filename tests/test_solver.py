@@ -31,7 +31,14 @@ from fraclat.solver import (
     solve,
     solve_continuum_reference,
 )
-from fraclat.solver import _CONV_BLOCK, _FoldedKernel, _batch_nonlinearity, _duhamel_weight_tables
+from fraclat.solver import (
+    _CONV_BLOCK,
+    _FoldedKernel,
+    _batch_nonlinearity,
+    _duhamel_nodes,
+    _duhamel_weight_tables,
+    _gauss_jacobi,
+)
 from fraclat.special import GRID_TOL, ml_e_grid
 from fraclat.symbol import SymbolConfig, w_eval
 
@@ -143,6 +150,26 @@ def mode_weights(tg, mu, params):
 
 
 class TestDuhamelWeights:
+    @pytest.mark.parametrize("beta", [0.55, 0.85, 1.0])
+    def test_gauss_rules_match_scipy(self, beta):
+        # scipy's rules are an independent reference (scipy is a test dependency only)
+        from scipy.special import roots_jacobi, roots_legendre
+
+        xj, wj = roots_jacobi(8, 0.0, beta - 1.0)
+        x, w = _gauss_jacobi(8, beta - 1.0)
+        assert np.abs(x - xj).max() < 1e-15
+        assert np.abs(w / wj - 1.0).max() < 5e-14
+        # the assembled nodes and weights: Gauss-Jacobi on lag 1, Gauss-Legendre after
+        tg = TimeGrid(T=0.4, m_steps=6)
+        dt = tg.dt
+        xl, wl = roots_legendre(8)
+        lags = np.arange(2, 7)[:, None]
+        t_ref = np.vstack([dt * (xj + 1.0) / 2.0, (lags - 1) * dt + dt * (xl + 1.0) / 2.0])
+        w_ref = np.vstack([(dt / 2.0) ** beta * wj, dt / 2.0 * wl * t_ref[1:] ** (beta - 1.0)])
+        taus, wfac, _ = _duhamel_nodes(tg, beta)
+        assert np.abs(taus - t_ref).max() < 1e-15
+        assert np.abs(wfac / w_ref - 1.0).max() < 5e-14
+
     def test_beta_one_mu_zero_trapezoid(self):
         params = ModelParams(alpha=1.5, beta=1.0)
         tg = TimeGrid(T=0.8, m_steps=8)

@@ -368,9 +368,27 @@ class TestOneEvaluator:
                 ml_ee(beta, RAY(beta, r))
         assert calls == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_named(self):
         # E_0.55(40) ~ e^{40^{1/0.55}}/0.55 = e^{815}/0.55 leaves double range
         with pytest.raises(MLOverflowError, match=r"E_\{0\.55,1\}.* 1 point.*\|z\| = 40$"):
             ml_e_grid(0.55, np.array([1.0, 40.0 + 0j]))
         with pytest.raises(MLOverflowError, match=r"E_\{0\.55,1\}.*\|z\| = 40$"):
             ml_e(0.55, 40.0)
+
+
+class TestReciprocalGamma:
+    # poles, both sides of a pole, subnormal arguments, and past 171.6 where
+    # Gamma leaves double range and 1/Gamma comes from exp(-lgamma)
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, -1.0, -2.0, -57.0, -3.0 + 1e-9, -3.0 - 1e-9, -1.0 + 1e-15, -20.5, -58.3,
+         1e-300, -1e-300, 1e-310, -1e-310, 0.5, 2.5, 10.3, 100.7,
+         171.5, 171.62, 171.7, 172.0, 180.3, 600.5],
+    )
+    def test_matches_mpmath(self, x):
+        with mp.workdps(30):
+            ref = float(mp.rgamma(mp.mpf(x)))
+        got = float(special._rgamma(np.array([x]))[0])
+        # exp(-lgamma) amplifies lgamma's absolute rounding past 171.6
+        assert got == pytest.approx(ref, rel=2e-15 if x < 171.6 else 1e-12, abs=0.0)

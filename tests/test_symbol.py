@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fraclat.symbol import (
     SymbolConfig,
+    _zeta_table,
     find_xi0,
     find_xi1,
     normalization_constant,
@@ -190,6 +191,25 @@ class TestCriticalPoints:
     def test_normalization_invariance(self):
         # critical points do not move under the c-normalization
         assert find_xi0(CFG) == pytest.approx(find_xi0(CFG_RAW), abs=1e-11)
+
+    def test_xi1_reuses_the_cached_xi0(self):
+        cfg = SymbolConfig(alpha=1.37)
+        find_xi0.cache_clear()
+        xi0 = find_xi0(cfg)
+        assert find_xi1(cfg, 0.85) > xi0
+        info = find_xi0.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+class TestZetaTable:
+    @pytest.mark.parametrize(
+        "alpha", [1.0 + 2**-40, 1.001, 1.1, 1.2, 1.37, 1.5, 1.63, 1.8, 1.9, 1.999, 2.0 - 2**-40]
+    )
+    def test_correctly_rounded_against_mpmath(self, alpha):
+        # every entry is the double nearest to zeta(alpha + 1 - 2j), j = 1..40
+        with mp.workdps(40):
+            ref = [float(mp.zeta(mp.mpf(alpha) + 1 - 2 * j)) for j in range(1, 41)]
+        assert _zeta_table(alpha).tolist() == ref
 
 
 class TestPhi:
