@@ -1,16 +1,16 @@
 """Configuration parsing and run orchestration.
 
 Experiments are driven by line-oriented ``key = value`` files (``#``
-comments allowed); command-line flags only select the config file, the
-output directory and the worker count.  A key the file leaves out takes
-the default in the signature of the harness entry point it feeds (of
-``_run_solve`` for ``solve``): ``run`` passes on only the keys the file
-sets.  ``initial`` is ``gaussian`` (reads ``amplitude``, ``width``) or
-``packet`` (also ``center``, ``freq``).  Every run writes
-``<experiment>_report.json`` (machine-readable pass/fail plus values),
-``<experiment>_data.csv`` (raw series) and ``manifest.json`` (config
-echo, versions, timings).  Exit code 0 means every assertion of the
-invoked report passed.
+comments allowed); flags only select the config file, the output
+directory and, for the experiments that fan out over meshes, the worker
+count.  ``EXPERIMENTS`` is the one table of experiments: the config keys
+each one reads, the only keys its file may set, and the runner that calls
+its harness entry point with just the keys the file sets, so that each
+default lives in one signature (``_run_solve``'s for ``solve``).  Every
+run writes ``<experiment>_report.json`` (machine-readable pass/fail plus
+values), ``<experiment>_data.csv`` (raw series) and ``manifest.json``
+(config echo, versions, timings).  Exit code 0 means every assertion of
+the invoked report passed.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .harness import (
@@ -45,9 +47,6 @@ from .solver import (
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
-
-
-EXPERIMENTS = ("symbol", "mass", "smoothing", "continuum", "ml-check", "solve")
 
 
 def _parse_bool(s: str) -> bool:
@@ -85,7 +84,6 @@ _KEY_PARSERS = {
     "p": int,
     "sign": int,
     "s": _parse_float,
-    "delta": _parse_float,
     "use_filter": _parse_bool,
     "extent": _parse_float,
     "h": _parse_float,
@@ -132,17 +130,119 @@ class RunConfig:
         return {k: self.raw[k] for k in keys if k in self.raw}
 
 
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def _initial_profile(cfg: RunConfig):
+    # parse_config admits center and freq only under initial = packet
+    return gaussian_profile(**cfg.present("amplitude", "width", "center", "freq"))
+
+
+# Each runner calls its harness entry point by its name in this module at
+# call time, so that a wrapper patched onto that name (a test spy, the
+# benchmark's tracer) sees the call.
+
+
+def _run_symbol(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
+    report = run_symbol_checks(cfg.require("alphas"), **cfg.present("beta"))
+    # the CSV takes the dense tables; the JSON report keeps each alpha's summary
+    rows = [[r["alpha"]] + row for r in report["results"] for row in r.pop("table")]
+    _write_csv(out_dir / "symbol_data.csv", ["alpha", "xi", "w", "w_prime", "w_second", "phi_h"], rows)
+    return report
+
+
+def _run_ml_check(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
+    report = run_ml_check(**cfg.present("betas", "n_radii", "r_max"))
+    rows = [[r["beta"], r["max_rel_err_ml_e"], r["max_rel_err_ml_ee"], r["sup_|E_beta|_on_ray"]]
+            for r in report["results"]]
+    header = ["beta", "max_rel_err_ml_e", "max_rel_err_ml_ee", "sup_ray"]
+    _write_csv(out_dir / "ml_check_data.csv", header, rows)
+    return report
+
+
+def _run_mass(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
+    report = run_mass_uniformity(cfg.params, cfg.require("h_list"), _initial_profile(cfg),
+                                 **cfg.present("extent", "T", "n_times"), workers=workers)
+    rows = [[e["h"], e.get("ratio")] for e in report["entries"]]
+    _write_csv(out_dir / "mass_data.csv", ["h", "ratio"], rows)
+    return report
+
+
+def _run_smoothing(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
+    report = run_smoothing_experiment(
+        cfg.params, cfg.require("h_list"),
+        **cfg.present("extent", "T", "n_times", "eps", "packet_width"), workers=workers)
+    header = ["h", "unfiltered", "filtered", "packet_spectral_mass"]
+    _write_csv(out_dir / "smoothing_data.csv", header,
+               [[e[k] for k in header] for e in report["entries"]])
+    return report
+
+
+def _run_continuum(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
+    report = run_continuum_study(
+        cfg.params, cfg.require("h_list"), cfg.require("h_ref"), _initial_profile(cfg),
+        **cfg.present("extent", "T", "m_steps", "linear_only", "tol", "ratio_cap"), workers=workers)
+    rows = [[h, e, l2[1], lam[1]] for (h, e), l2, lam
+            in zip(report["pairs"], report["l2_errors"], report["lambda_errors"])]
+    _write_csv(out_dir / "continuum_data.csv", ["h", "err_hs", "err_l2", "err_lambda"], rows)
+    return report
+
+
+def _run_solve(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
+    grid = grid_for(cfg.get("extent", 51.2), cfg.require("h"))
+    tg = TimeGrid(T=cfg.require("T"), m_steps=cfg.get("m_steps", 128))
+    traj = solve(cfg.params, grid, tg, _initial_profile(cfg), **cfg.present("tol"))
+    snapshots = [(float(t), traj.snapshot(i)) for i, t in enumerate(traj.times)]
+    (out_dir / "trajectory.bin").write_bytes(b"".join(field_to_bytes(u, t=t) for t, u in snapshots))
+    _write_csv(out_dir / "solve_data.csv", ["t", "l2_norm"], [[t, norm_lp(u, 2)] for t, u in snapshots])
+    return {"experiment": "solve", "h": grid.h, "n_points": grid.n_points, "T": tg.T,
+            "m_steps": tg.m_steps, "residuals": traj.residuals,
+            "residual_ratios": traj.residual_ratios, "pass": True}
+
+
+class Experiment(NamedTuple):
+    keys: tuple[str, ...]  # the config keys the experiment reads, besides experiment
+    runner: Callable[[RunConfig, Path, int], dict]  # (cfg, out_dir, workers) -> report
+    fans_out: bool = False  # runs its meshes on --workers threads
+
+
+# the model keys build ModelParams and are read as a unit
+_MODEL = ("alpha", "beta", "p", "sign", "s", "use_filter")
+_INITIAL = ("initial", "amplitude", "width", "center", "freq")
+_PACKET_ONLY = ("center", "freq")
+
+EXPERIMENTS = {
+    "symbol": Experiment(("alphas", "beta"), _run_symbol),
+    "mass": Experiment(_MODEL + ("h_list", "extent", "T", "n_times") + _INITIAL,
+                       _run_mass, fans_out=True),
+    "smoothing": Experiment(_MODEL + ("h_list", "extent", "T", "n_times", "eps", "packet_width"),
+                            _run_smoothing, fans_out=True),
+    "continuum": Experiment(_MODEL + ("h_list", "h_ref", "extent", "T", "m_steps", "linear_only",
+                                      "tol", "ratio_cap") + _INITIAL,
+                            _run_continuum, fans_out=True),
+    "ml-check": Experiment(("betas", "n_radii", "r_max"), _run_ml_check),
+    "solve": Experiment(_MODEL + ("h", "extent", "T", "m_steps", "tol") + _INITIAL, _run_solve),
+}
+
+
 def parse_config(path, experiment: str | None = None) -> RunConfig:
     """Parse and validate a key = value config file.
 
-    Unknown keys are rejected with their line number; model parameters are
-    re-validated here so a bad file fails before any computation starts,
-    with the violated admissibility condition quoted in the message.
+    Unknown keys are rejected with their line number, and so, once every
+    value has parsed, is a key the selected experiment does not read.
+    Model parameters are validated here so a bad file fails before any
+    computation starts, with the violated admissibility condition quoted
+    in the message.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     raw: dict = {}
+    line_of: dict = {}
     lines = path.read_text().splitlines()
     for ln, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -160,6 +260,7 @@ def parse_config(path, experiment: str | None = None) -> RunConfig:
             raw[key] = _KEY_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{ln}: bad value for {key!r}: {exc}") from exc
+        line_of[key] = ln
     if not raw:
         raise ConfigError(f"{path}: empty configuration")
 
@@ -171,106 +272,28 @@ def parse_config(path, experiment: str | None = None) -> RunConfig:
             f"config names experiment {raw['experiment']!r} but subcommand is {experiment!r}"
         )
     if exp not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
+        raise ConfigError(f"unknown experiment {exp!r}; choose from {tuple(EXPERIMENTS)}")
+
+    keys = EXPERIMENTS[exp].keys
+    for key, ln in line_of.items():
+        if key not in keys and key != "experiment":
+            raise ConfigError(f"{path}:{ln}: experiment {exp!r} does not read key {key!r}")
+        if key in _PACKET_ONLY and raw.get("initial") != "packet":
+            raise ConfigError(
+                f"{path}:{ln}: experiment {exp!r} reads key {key!r} only with initial = packet"
+            )
 
     cfg = RunConfig(experiment=exp, raw=raw)
-    if exp not in ("symbol", "ml-check"):
+    if "alpha" in keys:
         try:
             cfg.params = ModelParams(
                 alpha=cfg.require("alpha"),
                 beta=cfg.require("beta"),
-                p=raw.get("p", 3),
-                sign=raw.get("sign", 1),
-                s=raw.get("s"),
-                delta=raw.get("delta"),
-                use_filter=raw.get("use_filter", True),
+                **cfg.present("p", "sign", "s", "use_filter"),
             )
         except ParameterError as exc:
             raise ConfigError(f"invalid model parameters: {exc}") from exc
     return cfg
-
-
-def _initial_profile(cfg: RunConfig):
-    """A gaussian reads amplitude and width; a packet also center and freq."""
-    keys = ("amplitude", "width")
-    if cfg.get("initial") == "packet":
-        keys += ("center", "freq")
-    return gaussian_profile(**cfg.present(*keys))
-
-
-def _write_csv(path: Path, header: list[str], rows: list) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
-
-
-def _report_rows(exp: str, report: dict) -> tuple[list[str], list]:
-    if exp == "symbol":
-        # dense symbol table; the summary block {alpha, beta, xi0, xi1, c}
-        # stays in the JSON report
-        rows = []
-        for r in report["results"]:
-            rows.extend([r["alpha"]] + row for row in r.pop("table"))
-        return ["alpha", "xi", "w", "w_prime", "w_second", "phi_h"], rows
-    if exp == "mass":
-        return (
-            ["h", "ratio"],
-            [[e["h"], e.get("ratio")] for e in report["entries"]],
-        )
-    if exp == "smoothing":
-        return (
-            ["h", "unfiltered", "filtered", "packet_spectral_mass"],
-            [
-                [e["h"], e["unfiltered"], e["filtered"], e["packet_spectral_mass"]]
-                for e in report["entries"]
-            ],
-        )
-    if exp == "continuum":
-        return (
-            ["h", "err_hs", "err_l2", "err_lambda"],
-            [
-                [h, e, l2[1], lam[1]]
-                for (h, e), l2, lam in zip(
-                    report["pairs"], report["l2_errors"], report["lambda_errors"]
-                )
-            ],
-        )
-    if exp == "ml-check":
-        return (
-            ["beta", "max_rel_err_ml_e", "max_rel_err_ml_ee", "sup_ray"],
-            [
-                [r["beta"], r["max_rel_err_ml_e"], r["max_rel_err_ml_ee"], r["sup_|E_beta|_on_ray"]]
-                for r in report["results"]
-            ],
-        )
-    raise ValueError(exp)
-
-
-def _run_solve(cfg: RunConfig, out_dir: Path) -> dict:
-    grid = grid_for(cfg.get("extent", 51.2), cfg.require("h"))
-    tg = TimeGrid(T=cfg.require("T"), m_steps=cfg.get("m_steps", 128))
-    f = _initial_profile(cfg)
-    traj = solve(cfg.params, grid, tg, f, **cfg.present("tol"))
-    blob = b"".join(
-        field_to_bytes(traj.snapshot(i), t=float(t)) for i, t in enumerate(traj.times)
-    )
-    (out_dir / "trajectory.bin").write_bytes(blob)
-    _write_csv(
-        out_dir / "solve_data.csv",
-        ["t", "l2_norm"],
-        [[float(t), norm_lp(traj.snapshot(i), 2)] for i, t in enumerate(traj.times)],
-    )
-    return {
-        "experiment": "solve",
-        "h": grid.h,
-        "n_points": grid.n_points,
-        "T": tg.T,
-        "m_steps": tg.m_steps,
-        "residuals": traj.residuals,
-        "residual_ratios": traj.residual_ratios,
-        "pass": True,
-    }
 
 
 def run(cfg: RunConfig, out_dir, workers: int = 1) -> int:
@@ -279,57 +302,18 @@ def run(cfg: RunConfig, out_dir, workers: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     exp = cfg.experiment
+    stem = exp.replace("-", "_")
     try:
-        # only the keys the file sets are passed on: each default lives in
-        # the signature of the harness entry point
-        if exp == "symbol":
-            report = run_symbol_checks(
-                cfg.get("alphas", [cfg.get("alpha", 1.5)]), **cfg.present("beta")
-            )
-        elif exp == "mass":
-            report = run_mass_uniformity(
-                cfg.params,
-                cfg.require("h_list"),
-                _initial_profile(cfg),
-                **cfg.present("extent", "T", "n_times"),
-                workers=workers,
-            )
-        elif exp == "smoothing":
-            report = run_smoothing_experiment(
-                cfg.params,
-                cfg.require("h_list"),
-                **cfg.present("extent", "T", "n_times", "eps", "packet_width"),
-                workers=workers,
-            )
-        elif exp == "continuum":
-            report = run_continuum_study(
-                cfg.params,
-                cfg.require("h_list"),
-                cfg.require("h_ref"),
-                _initial_profile(cfg),
-                **cfg.present("extent", "T", "m_steps", "linear_only", "tol", "ratio_cap"),
-                workers=workers,
-            )
-        elif exp == "ml-check":
-            report = run_ml_check(**cfg.present("betas", "n_radii", "r_max"))
-        elif exp == "solve":
-            report = _run_solve(cfg, out_dir)
-        else:  # pragma: no cover - guarded by parse_config
-            raise ConfigError(f"unknown experiment {exp!r}")
+        report = EXPERIMENTS[exp].runner(cfg, out_dir, workers)
     except (NonContractionError, ParameterError, ConfigError, ValueError) as exc:
         record = {"experiment": exp, "error": type(exc).__name__, "message": str(exc)}
-        (out_dir / f"{exp.replace('-', '_')}_error.json").write_text(
+        (out_dir / f"{stem}_error.json").write_text(
             json.dumps(record, indent=2, sort_keys=True) + "\n"
         )
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     wall = time.perf_counter() - t0
-    stem = exp.replace("-", "_")
-    if exp != "solve":
-        # the CSV consumes (and strips) any dense tables; the JSON keeps the summary
-        header, rows = _report_rows(exp, report)
-        _write_csv(out_dir / f"{stem}_data.csv", header, rows)
     (out_dir / f"{stem}_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
     )
@@ -352,7 +336,7 @@ def describe(cfg: RunConfig) -> str:
         "admissibility conditions (sigma = alpha/beta):",
         "  alpha > (sigma+1)/2          [smoothing gain beats the memory loss]",
         "  s >= 1/2 - 1/(2(p-1))",
-        "  delta in [s+sigma-alpha, sigma/2 - 1/(2(p-1)))",
+        "  delta = s+sigma-alpha < sigma/2 - 1/(2(p-1))",
     ]
     if cfg.params is not None:
         p = cfg.params
@@ -367,17 +351,27 @@ def describe(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
+def _worker_count(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fraclat",
         description="Experiments for the lattice fractional Schrodinger equation with memory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
+    for name, spec in EXPERIMENTS.items():
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", required=True, help="key = value configuration file")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--workers", type=int, default=1)
+        if spec.fans_out:
+            sp.add_argument(
+                "--workers", type=_worker_count, default=1, help="threads that run the meshes"
+            )
         sp.add_argument(
             "--describe",
             action="store_true",
@@ -392,7 +386,7 @@ def main(argv=None) -> int:
     if args.describe:
         print(describe(cfg))
         return 0
-    return run(cfg, args.out, workers=args.workers)
+    return run(cfg, args.out, workers=getattr(args, "workers", 1))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -256,7 +256,7 @@ def norm_maximal(traj, q: float) -> float:
 def lambda_norm(traj, params, *, spectrum: np.ndarray | None = None) -> NormReport:
     """Contraction norm of a SolutionTrajectory.
 
-    eta1 smoothing (exponent s+sigma-alpha), eta2 energy sup_t H^s,
+    eta1 smoothing (exponent params.delta = s+sigma-alpha), eta2 energy sup_t H^s,
     eta3 maximal; one batched DFT of the nodes serves eta1 and eta2.
     ``spectrum`` may pass that DFT in, fft(traj.values, axis=-1), when the
     caller already holds it.
@@ -267,7 +267,7 @@ def lambda_norm(traj, params, *, spectrum: np.ndarray | None = None) -> NormRepo
     sites.
     """
     coeffs = np.fft.fft(traj.values, axis=-1) if spectrum is None else spectrum
-    eta1 = _smoothing(coeffs, traj.grid, traj.times, params.s + params.sigma - params.alpha)
+    eta1 = _smoothing(coeffs, traj.grid, traj.times, params.delta)
     eta2 = float(np.sqrt(_sobolev_squares(coeffs, traj.grid, params.s).max()))
     eta3 = norm_maximal(traj, 2.0 * (params.p - 1))
     return NormReport(eta1=eta1, eta2=eta2, eta3=eta3)

@@ -79,9 +79,10 @@ class NonContractionError(RuntimeError):
 class ModelParams:
     """Physical/analytic parameters with the admissibility conditions enforced.
 
-    sigma = alpha/beta is derived.  Defaults put s at its minimal value
-    1/2 - 1/(2(p-1)) and delta at the lower end s + sigma - alpha of its
-    admissible window, which is non-empty exactly when alpha > (sigma+1)/2.
+    sigma = alpha/beta and delta = s + sigma - alpha, the lower end of
+    delta's admissible window, are derived.  s defaults to its minimal
+    value 1/2 - 1/(2(p-1)), where that window is non-empty exactly when
+    alpha > (sigma+1)/2.
     """
 
     alpha: float
@@ -89,7 +90,6 @@ class ModelParams:
     p: int = 3
     sign: int = 1
     s: float | None = None
-    delta: float | None = None
     use_filter: bool = True
 
     def __post_init__(self) -> None:
@@ -114,19 +114,21 @@ class ModelParams:
             raise ParameterError(
                 f"s >= 1/2 - 1/(2(p-1)) fails: {self.s:g} < {s_min:g}"
             )
-        d_lo = self.s + sigma - self.alpha
         d_hi = sigma / 2.0 - 0.5 / (self.p - 1)
-        if self.delta is None:
-            object.__setattr__(self, "delta", d_lo)
-        if not d_lo - 1e-12 <= self.delta < d_hi:
+        if not self.delta < d_hi:
             raise ParameterError(
-                f"delta in [s+sigma-alpha, sigma/2 - 1/(2(p-1))) fails: "
-                f"{self.delta:g} not in [{d_lo:g}, {d_hi:g})"
+                f"delta in [s+sigma-alpha, sigma/2 - 1/(2(p-1))) is empty: "
+                f"s = {self.s:g} puts its lower end at {self.delta:g} >= {d_hi:g}"
             )
 
     @property
     def sigma(self) -> float:
         return self.alpha / self.beta
+
+    @property
+    def delta(self) -> float:
+        """Smoothing exponent of eta1 in Lambda_T."""
+        return self.s + self.sigma - self.alpha
 
     @property
     def phase_unit(self) -> complex:
@@ -139,7 +141,6 @@ class ModelParams:
         return {
             "alpha_gt_(sigma+1)/2": self.alpha - (sigma + 1.0) / 2.0,
             "s_ge_1/2-1/(2(p-1))": self.s - (0.5 - 0.5 / (self.p - 1)),
-            "delta_ge_s+sigma-alpha": self.delta - (self.s + sigma - self.alpha),
             "delta_lt_sigma/2-1/(2(p-1))": (sigma / 2.0 - 0.5 / (self.p - 1)) - self.delta,
         }
 
@@ -416,6 +417,8 @@ class _FoldedKernel:
 # the solver
 # ---------------------------------------------------------------------------
 
+_K_MAX = 60  # Picard sweeps before the solver returns the iterate it has
+
 
 def solve(
     params: ModelParams,
@@ -424,7 +427,6 @@ def solve(
     f,
     symbol_source: str = "lattice",
     tol: float = 1e-10,
-    k_max: int = 60,
     nonlinear: bool = True,
     forcing=None,
     initial_field: LatticeField | None = None,
@@ -484,7 +486,7 @@ def solve(
     residuals: list[float] = []
     first_norm = None
     bad_streak = 0
-    for sweep in range(1, k_max + 1):
+    for sweep in range(1, _K_MAX + 1):
         if nonlinear:
             G_hat = _batch_nonlinearity(U, run_params)
             np.fft.fft(G_hat, axis=-1, out=G_hat)
@@ -531,7 +533,7 @@ def solve(
                 )
         else:
             bad_streak = 0
-    # exhausting k_max with decreasing residuals is a legitimate exit: the
+    # exhausting _K_MAX with decreasing residuals is a legitimate exit: the
     # caller reads the quality off the residual history
     return SolutionTrajectory(timegrid, grid, U, residuals)
 

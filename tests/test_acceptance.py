@@ -161,7 +161,7 @@ def test_criterion_2_beta_one_degeneration():
 
 def test_criterion_3_symbol_properties():
     t0 = time.perf_counter()
-    rep = run_symbol_checks([1.2, 1.5, 1.9], beta=0.85, grid_points=10_000)
+    rep = run_symbol_checks([1.2, 1.5, 1.9], beta=0.85)
     elapsed = time.perf_counter() - t0
     msg = "; ".join(
         f"a={r['alpha']}: xi0={r['xi0']:.3f} xi1={r['xi1']:.3f} slope={r['small_xi_slope']:.3f}"

@@ -15,6 +15,7 @@ import fraclat
 import fraclat.cli as cli
 from fraclat.cli import ConfigError, describe, main, parse_config, run
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.cfg"))
 
 
@@ -130,6 +131,30 @@ class TestParseConfig:
             parse_config(p)
         assert main(["symbol", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize(
+        "exp, base, extra",
+        [("symbol", MINIMAL_SYMBOL, "h_list = 0.4, 0.2\neps = 0.01\n"),
+         ("symbol", MINIMAL_SYMBOL, "alpha = 1.5\n"),
+         ("ml-check", "experiment = ml-check\nbetas = 0.75\n", "use_filter = on\n"),
+         ("mass", MINIMAL_MASS, "center = 1.0\n")],
+        ids=["symbol-h_list", "symbol-alpha", "ml-check-use_filter", "gaussian-center"],
+    )
+    def test_unread_key_rejected(self, tmp_path, capsys, exp, base, extra):
+        # the first line of extra is the first key the experiment does not read
+        p = write(tmp_path, base + extra)
+        line, key = base.count("\n") + 1, extra.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"run\.cfg:{line}: experiment '{exp}' .*key '{key}'"):
+            parse_config(p)
+        assert main([exp, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert f"run.cfg:{line}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_delta_key_rejected(self, tmp_path):
+        # delta = s + sigma - alpha is derived, never set
+        p = write(tmp_path, MINIMAL_MASS + "delta = 0.3\n")
+        with pytest.raises(ConfigError, match=r":12: unknown key 'delta'"):
+            parse_config(p)
+
     def test_n_points_key_rejected(self, tmp_path):
         # the solve experiment's lattice is set by h and extent alone
         p = write(tmp_path, "experiment = solve\nalpha = 1.5\nbeta = 0.85\nn_points = 32\n")
@@ -142,6 +167,23 @@ def test_committed_config_parses_and_describes(path, capsys):
     cfg = parse_config(path)
     assert main([cfg.experiment, "--config", str(path), "--describe"]) == 0
     assert "admissibility conditions" in capsys.readouterr().out
+
+
+def test_readme_key_table_matches_cli():
+    text = README.read_text().split("### Keys per experiment", 1)[1].split("\n## ", 1)[0]
+    groups = {
+        name: tuple(re.findall(r"`(\w+)`", re.search(rf"\*{name}\* stands for (.*?)[:(]", text, re.S)[1]))
+        for name in ("model", "initial data")
+    }
+    assert groups == {"model": cli._MODEL, "initial data": cli._INITIAL}
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.+) \| (yes|no) \|$", text, re.M)
+    table = {}
+    for exp, keys, workers in rows:
+        names = ()
+        for tok in keys.split(", "):
+            names += groups[tok] if tok in groups else (tok.strip("`"),)
+        table[exp] = (names, workers == "yes")
+    assert table == {exp: (e.keys, e.fans_out) for exp, e in cli.EXPERIMENTS.items()}
 
 
 def test_all_six_configs_committed():
@@ -162,16 +204,26 @@ _VALUES = {
 _COMMENT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).map(lambda t: "#" + t)
 
 
+# the model keys whose admissible values depend on each other: an
+# experiment that builds ModelParams gets this fixed admissible pair and
+# the defaults of p, sign and s, while every other key it reads may take
+# any value its parser accepts
+_ADMISSIBLE = {"alpha": 1.5, "beta": 0.85}
+_COUPLED = ("alpha", "beta", "p", "sign", "s")
+
+
 @st.composite
 def config_files(draw):
     """(lines, values): the lines of a parseable file and the dict it must parse to."""
-    # symbol and ml-check build no ModelParams, so every key may take any
-    # value its parser accepts
-    values = {"experiment": draw(st.sampled_from(["symbol", "ml-check"]))}
-    keys = [k for k in cli._KEY_PARSERS if k != "experiment"]
-    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=8)):
+    exp = draw(st.sampled_from(list(cli.EXPERIMENTS)))
+    keys = cli.EXPERIMENTS[exp].keys
+    values = {"experiment": exp, **(_ADMISSIBLE if "alpha" in keys else {})}
+    free = [k for k in keys if k not in _COUPLED]
+    for key in draw(st.lists(st.sampled_from(free), unique=True, max_size=8)):
         strategy, _ = _VALUES[cli._KEY_PARSERS[key]]
         values[key] = draw(strategy)
+    if "center" in values or "freq" in values:
+        values["initial"] = "packet"
     lines = []
     for key, value in values.items():
         spell = str if key == "experiment" else _VALUES[cli._KEY_PARSERS[key]][1]
@@ -189,6 +241,10 @@ def _parse_lines(lines):
 
 
 class TestConfigProperties:
+    def test_drawn_keys_cover_every_parser_type(self):
+        free = {k for e in cli.EXPERIMENTS.values() for k in e.keys if k not in _COUPLED}
+        assert {cli._KEY_PARSERS[k] for k in free} == set(_VALUES)
+
     @settings(max_examples=80, deadline=None)
     @given(config_files())
     def test_round_trip(self, drawn):
@@ -216,6 +272,22 @@ class TestConfigProperties:
             lambda k: k not in cli._KEY_PARSERS))
         with pytest.raises(ConfigError, match=rf"run\.cfg:{i + 1}: unknown key '{key}'"):
             _parse_lines(lines[:i] + [f"{key} = 1"] + lines[i:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(config_files(), st.data())
+    def test_unread_key_names_its_line(self, drawn, data):
+        lines, values = drawn
+        exp = values["experiment"]
+        keys = cli.EXPERIMENTS[exp].keys
+        packet = values.get("initial") == "packet"
+        unread = [k for k in cli._KEY_PARSERS if k != "experiment"
+                  and (k not in keys or k in cli._PACKET_ONLY and not packet)]
+        key = data.draw(st.sampled_from(unread))
+        strategy, spell = _VALUES[cli._KEY_PARSERS[key]]
+        i = data.draw(st.integers(0, len(lines)))
+        line = f"{key} = {spell(data.draw(strategy))}"
+        with pytest.raises(ConfigError, match=rf"run\.cfg:{i + 1}: experiment '{exp}' .*key '{key}'"):
+            _parse_lines(lines[:i] + [line] + lines[i:])
 
     @settings(max_examples=40, deadline=None)
     @given(config_files(), st.data())
@@ -362,6 +434,29 @@ amplitude = 0.4
         cfg = parse_config(write(tmp_path, cfg_text))
         out = tmp_path / "pk"
         assert run(cfg, out) == 0
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("exp", ["symbol", "ml-check", "solve"])
+    def test_flag_only_where_the_run_fans_out(self, exp):
+        cfg = next(p for p in CONFIGS if p.stem == exp.replace("-", "_"))
+        with pytest.raises(SystemExit) as exc:
+            main([exp, "--config", str(cfg), "--workers", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two", "2"])
+    def test_count_checked_before_the_run(self, tmp_path, monkeypatch, value):
+        # the spy stands in for the sweep, so no thread starts either way
+        spy = _Spy({"entries": [], "pass": True})
+        monkeypatch.setattr(cli, "run_mass_uniformity", spy)
+        argv = ["mass", "--config", str(write(tmp_path, MINIMAL_MASS)), "--out", str(tmp_path / "out"),
+                "--workers", value]
+        if value != "2":
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2 and spy.kwargs is None
+        else:
+            assert main(argv) == 0 and spy.kwargs["workers"] == 2
 
 
 class _Spy:

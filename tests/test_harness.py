@@ -66,7 +66,7 @@ class TestInitialData:
 
 class TestSymbolChecks:
     def test_single_alpha_passes(self):
-        rep = run_symbol_checks([1.5], grid_points=2000)
+        rep = run_symbol_checks([1.5])
         assert rep["pass"]
         entry = rep["results"][0]
         assert entry["w_second_sign_changes"] == 1

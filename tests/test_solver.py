@@ -9,6 +9,7 @@ import pytest
 import scipy.fft as sfft
 from hypothesis import assume, given, settings, strategies as st
 
+import fraclat.solver as solver
 from fraclat.lattice import (
     GridMismatchError,
     LatticeField,
@@ -108,13 +109,16 @@ class TestModelParams:
                 ModelParams(alpha=1.5, beta=0.85, s=bad)
 
     def test_delta_window(self):
+        # delta = s + sigma - alpha must stay below sigma/2 - 1/(2(p-1)):
+        # an s at or past s_hi = alpha - sigma/2 - 1/4 empties the window
         p = ModelParams(alpha=1.5, beta=0.85)
-        hi = p.sigma / 2.0 - 0.25
-        with pytest.raises(ParameterError, match="delta"):
-            ModelParams(alpha=1.5, beta=0.85, delta=hi)
-        with pytest.raises(ParameterError, match="delta"):
-            ModelParams(alpha=1.5, beta=0.85, delta=0.1)
-        ModelParams(alpha=1.5, beta=0.85, delta=hi - 1e-6)
+        s_hi = p.alpha - p.sigma / 2.0 - 0.25
+        for s in (s_hi, s_hi + 0.1):
+            with pytest.raises(ParameterError, match=r"delta in \[s\+sigma-alpha, .*\) is empty"):
+                ModelParams(alpha=1.5, beta=0.85, s=s)
+        q = ModelParams(alpha=1.5, beta=0.85, s=s_hi - 1e-6)
+        assert q.delta == q.s + q.sigma - q.alpha
+        assert q.condition_margins()["delta_lt_sigma/2-1/(2(p-1))"] > 0.0
 
     def test_p_and_sign(self):
         with pytest.raises(ParameterError, match="odd"):
@@ -434,7 +438,8 @@ class TestSolve:
         assert len(traj.residuals) >= 3
         assert max(ratios) < 0.5
 
-    def test_non_contraction_raises_for_large_horizon(self):
+    def test_non_contraction_raises_for_large_horizon(self, monkeypatch):
+        monkeypatch.setattr(solver, "_K_MAX", 25)
         params = ModelParams(alpha=1.5, beta=0.85, sign=-1)  # focusing, large data
         grid = LatticeGrid(h=0.4, n_points=32)
 
@@ -442,7 +447,7 @@ class TestSolve:
             return 4.0 * np.exp(-((np.asarray(x) / 1.5) ** 2)).astype(complex)
 
         with pytest.raises(NonContractionError):
-            solve(params, grid, TimeGrid(T=4.0, m_steps=64), big, k_max=25)
+            solve(params, grid, TimeGrid(T=4.0, m_steps=64), big)
 
     def test_contraction_strengthens_as_horizon_shrinks(self):
         params = ModelParams(alpha=1.5, beta=0.85, sign=1)
@@ -488,10 +493,11 @@ class TestSolve:
             solve(params, grid, tg, gauss, forcing=forcing)
         assert exc.value.residuals == []
 
-    def test_k_max_exhaustion_is_normal_exit(self):
+    def test_k_max_exhaustion_is_normal_exit(self, monkeypatch):
+        monkeypatch.setattr(solver, "_K_MAX", 2)
         params = ModelParams(alpha=1.5, beta=0.85, sign=1)
         grid = LatticeGrid(h=0.2, n_points=64)
-        traj = solve(params, grid, TimeGrid(T=0.3, m_steps=16), gauss, k_max=2)
+        traj = solve(params, grid, TimeGrid(T=0.3, m_steps=16), gauss)
         assert len(traj.residuals) == 2  # stopped at the sweep budget
 
     def test_forced_problem_single_sweep(self):
