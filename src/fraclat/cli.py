@@ -10,7 +10,8 @@ default lives in one signature (``_run_solve``'s for ``solve``).  Every
 run writes ``<experiment>_report.json`` (machine-readable pass/fail plus
 values), ``<experiment>_data.csv`` (raw series) and ``manifest.json``
 (config echo, versions, timings).  Exit code 0 means every assertion of
-the invoked report passed.
+the invoked report passed.  A config fault, a missing required key
+included, exits 2 before any output is written.
 """
 
 from __future__ import annotations
@@ -120,11 +121,6 @@ class RunConfig:
     def get(self, key, default=None):
         return self.raw.get(key, default)
 
-    def require(self, key):
-        if key not in self.raw:
-            raise ConfigError(f"missing required key {key!r} for experiment {self.experiment!r}")
-        return self.raw[key]
-
     def present(self, *keys) -> dict:
         """The values of those ``keys`` the file sets; the callee's defaults cover the rest."""
         return {k: self.raw[k] for k in keys if k in self.raw}
@@ -148,7 +144,7 @@ def _initial_profile(cfg: RunConfig):
 
 
 def _run_symbol(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
-    report = run_symbol_checks(cfg.require("alphas"), **cfg.present("beta"))
+    report = run_symbol_checks(cfg.raw["alphas"], **cfg.present("beta"))
     # the CSV takes the dense tables; the JSON report keeps each alpha's summary
     rows = [[r["alpha"]] + row for r in report["results"] for row in r.pop("table")]
     _write_csv(out_dir / "symbol_data.csv", ["alpha", "xi", "w", "w_prime", "w_second", "phi_h"], rows)
@@ -165,7 +161,7 @@ def _run_ml_check(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
 
 
 def _run_mass(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
-    report = run_mass_uniformity(cfg.params, cfg.require("h_list"), _initial_profile(cfg),
+    report = run_mass_uniformity(cfg.params, cfg.raw["h_list"], _initial_profile(cfg),
                                  **cfg.present("extent", "T", "n_times"), workers=workers)
     rows = [[e["h"], e.get("ratio")] for e in report["entries"]]
     _write_csv(out_dir / "mass_data.csv", ["h", "ratio"], rows)
@@ -174,7 +170,7 @@ def _run_mass(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
 
 def _run_smoothing(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
     report = run_smoothing_experiment(
-        cfg.params, cfg.require("h_list"),
+        cfg.params, cfg.raw["h_list"],
         **cfg.present("extent", "T", "n_times", "eps", "packet_width"), workers=workers)
     header = ["h", "unfiltered", "filtered", "packet_spectral_mass"]
     _write_csv(out_dir / "smoothing_data.csv", header,
@@ -184,7 +180,7 @@ def _run_smoothing(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
 
 def _run_continuum(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
     report = run_continuum_study(
-        cfg.params, cfg.require("h_list"), cfg.require("h_ref"), _initial_profile(cfg),
+        cfg.params, cfg.raw["h_list"], cfg.raw["h_ref"], _initial_profile(cfg),
         **cfg.present("extent", "T", "m_steps", "linear_only", "tol", "ratio_cap"), workers=workers)
     rows = [[h, e, l2[1], lam[1]] for (h, e), l2, lam
             in zip(report["pairs"], report["l2_errors"], report["lambda_errors"])]
@@ -193,8 +189,8 @@ def _run_continuum(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
 
 
 def _run_solve(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
-    grid = grid_for(cfg.get("extent", 51.2), cfg.require("h"))
-    tg = TimeGrid(T=cfg.require("T"), m_steps=cfg.get("m_steps", 128))
+    grid = grid_for(cfg.get("extent", 51.2), cfg.raw["h"])
+    tg = TimeGrid(T=cfg.raw["T"], m_steps=cfg.get("m_steps", 128))
     traj = solve(cfg.params, grid, tg, _initial_profile(cfg), **cfg.present("tol"))
     snapshots = [(float(t), traj.snapshot(i)) for i, t in enumerate(traj.times)]
     (out_dir / "trajectory.bin").write_bytes(b"".join(field_to_bytes(u, t=t) for t, u in snapshots))
@@ -206,26 +202,29 @@ def _run_solve(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
 
 class Experiment(NamedTuple):
     keys: tuple[str, ...]  # the config keys the experiment reads, besides experiment
+    required: tuple[str, ...]  # the keys among them that have no default
     runner: Callable[[RunConfig, Path, int], dict]  # (cfg, out_dir, workers) -> report
     fans_out: bool = False  # runs its meshes on --workers threads
 
 
-# the model keys build ModelParams and are read as a unit
+# the model keys build ModelParams and are read as a unit; alpha and beta
+# have no default
 _MODEL = ("alpha", "beta", "p", "sign", "s", "use_filter")
 _INITIAL = ("initial", "amplitude", "width", "center", "freq")
 _PACKET_ONLY = ("center", "freq")
 
 EXPERIMENTS = {
-    "symbol": Experiment(("alphas", "beta"), _run_symbol),
+    "symbol": Experiment(("alphas", "beta"), ("alphas",), _run_symbol),
     "mass": Experiment(_MODEL + ("h_list", "extent", "T", "n_times") + _INITIAL,
-                       _run_mass, fans_out=True),
+                       ("alpha", "beta", "h_list"), _run_mass, fans_out=True),
     "smoothing": Experiment(_MODEL + ("h_list", "extent", "T", "n_times", "eps", "packet_width"),
-                            _run_smoothing, fans_out=True),
+                            ("alpha", "beta", "h_list"), _run_smoothing, fans_out=True),
     "continuum": Experiment(_MODEL + ("h_list", "h_ref", "extent", "T", "m_steps", "linear_only",
                                       "tol", "ratio_cap") + _INITIAL,
-                            _run_continuum, fans_out=True),
-    "ml-check": Experiment(("betas", "n_radii", "r_max"), _run_ml_check),
-    "solve": Experiment(_MODEL + ("h", "extent", "T", "m_steps", "tol") + _INITIAL, _run_solve),
+                            ("alpha", "beta", "h_list", "h_ref"), _run_continuum, fans_out=True),
+    "ml-check": Experiment(("betas", "n_radii", "r_max"), (), _run_ml_check),
+    "solve": Experiment(_MODEL + ("h", "extent", "T", "m_steps", "tol") + _INITIAL,
+                        ("alpha", "beta", "h", "T"), _run_solve),
 }
 
 
@@ -233,7 +232,8 @@ def parse_config(path, experiment: str | None = None) -> RunConfig:
     """Parse and validate a key = value config file.
 
     Unknown keys are rejected with their line number, and so, once every
-    value has parsed, is a key the selected experiment does not read.
+    value has parsed, is a key the selected experiment does not read.  A
+    required key the file leaves out is rejected with the file's path.
     Model parameters are validated here so a bad file fails before any
     computation starts, with the violated admissibility condition quoted
     in the message.
@@ -282,15 +282,14 @@ def parse_config(path, experiment: str | None = None) -> RunConfig:
             raise ConfigError(
                 f"{path}:{ln}: experiment {exp!r} reads key {key!r} only with initial = packet"
             )
+    for key in EXPERIMENTS[exp].required:
+        if key not in raw:
+            raise ConfigError(f"{path}: experiment {exp!r} requires key {key!r}, which is not set")
 
     cfg = RunConfig(experiment=exp, raw=raw)
     if "alpha" in keys:
         try:
-            cfg.params = ModelParams(
-                alpha=cfg.require("alpha"),
-                beta=cfg.require("beta"),
-                **cfg.present("p", "sign", "s", "use_filter"),
-            )
+            cfg.params = ModelParams(**cfg.present(*_MODEL))
         except ParameterError as exc:
             raise ConfigError(f"invalid model parameters: {exc}") from exc
     return cfg

@@ -229,13 +229,28 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
+# nodes per block of the eta1 and eta2 sums: their temporaries stay a few
+# (_NORM_ROWS, sites) arrays, whatever the number of nodes
+_NORM_ROWS = 32
+
+
 def _smoothing(coeffs: np.ndarray, grid: LatticeGrid, times: np.ndarray, delta: float) -> float:
     """norm_smoothing from the (nodes, sites) DFT coefficients of a trajectory."""
     mult = (1.0 + np.abs(grid.freqs()) / grid.h) ** delta
-    v = coeffs * mult
-    np.fft.ifft(v, axis=-1, out=v)
     tw = _trapezoid_weights(np.asarray(times, dtype=float))
-    return float(np.sqrt(np.sum(tw[:, None] * np.abs(v) ** 2, axis=0).max()))
+    # the time integral per site, carried as row 0 of each block: a sum
+    # over axis 0 adds rows in order, so the blocks add up exactly as one
+    # sum over every node would
+    acc = np.zeros(grid.n_points)
+    buf = np.empty((min(_NORM_ROWS, len(coeffs)) + 1, grid.n_points))
+    for lo in range(0, len(coeffs), _NORM_ROWS):
+        v = coeffs[lo : lo + _NORM_ROWS] * mult
+        np.fft.ifft(v, axis=-1, out=v)
+        w = buf[: len(v) + 1]
+        w[0] = acc
+        np.multiply(tw[lo : lo + len(v), None], np.abs(v) ** 2, out=w[1:])
+        np.sum(w, axis=0, out=acc)
+    return float(np.sqrt(acc.max()))
 
 
 def norm_smoothing(traj, delta: float) -> float:
@@ -257,7 +272,8 @@ def lambda_norm(traj, params, *, spectrum: np.ndarray | None = None) -> NormRepo
     """Contraction norm of a SolutionTrajectory.
 
     eta1 smoothing (exponent params.delta = s+sigma-alpha), eta2 energy sup_t H^s,
-    eta3 maximal; one batched DFT of the nodes serves eta1 and eta2.
+    eta3 maximal; one batched DFT of the nodes serves eta1 and eta2, which
+    then run over blocks of _NORM_ROWS nodes.
     ``spectrum`` may pass that DFT in, fft(traj.values, axis=-1), when the
     caller already holds it.
 
@@ -268,7 +284,11 @@ def lambda_norm(traj, params, *, spectrum: np.ndarray | None = None) -> NormRepo
     """
     coeffs = np.fft.fft(traj.values, axis=-1) if spectrum is None else spectrum
     eta1 = _smoothing(coeffs, traj.grid, traj.times, params.delta)
-    eta2 = float(np.sqrt(_sobolev_squares(coeffs, traj.grid, params.s).max()))
+    eta2_sq = max(
+        _sobolev_squares(coeffs[lo : lo + _NORM_ROWS], traj.grid, params.s).max()
+        for lo in range(0, len(coeffs), _NORM_ROWS)
+    )
+    eta2 = float(np.sqrt(eta2_sq))
     eta3 = norm_maximal(traj, 2.0 * (params.p - 1))
     return NormReport(eta1=eta1, eta2=eta2, eta3=eta3)
 

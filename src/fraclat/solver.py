@@ -18,8 +18,9 @@ fold into one kernel C[m] = A[m-1] + B[m] whose spectrum is computed
 once per solve, so a Picard sweep costs one forward and one inverse FFT
 (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  The
 multiplier is even, mu(xi) = mu(-xi), so the Mittag-Leffler tables are
-evaluated once per distinct mu (once per +-xi pair) and gathered to
-every mode.
+evaluated once per distinct mu (once per +-xi pair).  The propagator
+table is gathered to every mode; the memory kernel is stored once per
+distinct mu, and each mode reads its pair's row through mode_index.
 
 The fixed point is produced by Picard iteration over the whole time
 interval, mirroring the contraction construction behind the
@@ -237,17 +238,15 @@ class SymbolTable:
         return ml_e_grid(b, z, tol=GRID_TOL).take(self.mode_index, axis=-1)
 
     def duhamel_tables(self, timegrid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-        """Product-integration weights A, B of shape (m_steps, n_points).
+        """Product-integration weights A, B of shape (m_steps, distinct_mu.size).
 
         Row l-1 holds the lag-l pair: the integral of the kernel against
         the linear density over [t_j, t_{j+1}] with t_n - t_j = l dt is
-        A[l-1]*g(t_j) + B[l-1]*g(t_{j+1}).  Columns are ordered as in
-        propagator_table.
+        A[l-1]*g(t_j) + B[l-1]*g(t_{j+1}).  The kernel is stored once per
+        distinct mu: column k belongs to distinct_mu[k], and the mode of
+        propagator_table's column j reads column mode_index[j].
         """
-        A, B = _duhamel_weight_tables(timegrid, self.distinct_mu, self.params)
-        # fancy indexing leaves them column-major: the mode-major layout
-        # _FoldedKernel keeps, which then needs no transposing copy
-        return A[:, self.mode_index], B[:, self.mode_index]
+        return _duhamel_weight_tables(timegrid, self.distinct_mu, self.params)
 
 
 def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -290,9 +289,10 @@ def _duhamel_nodes(timegrid: TimeGrid, beta: float, n_nodes: int = 8):
     return taus, wfac, phi_a
 
 
-# modes per ml_ee_grid call in _duhamel_weight_tables: bounds the evaluator's
-# temporaries at about 8 * m_steps * _MODE_CHUNK points
-_MODE_CHUNK = 512
+# points per ml_ee_grid call in _duhamel_weight_tables: z and the
+# evaluator's temporaries take about 105 bytes a point, so a call holds
+# under 30 MB
+_ML_POINTS = 1 << 18
 
 
 def _duhamel_weight_tables(
@@ -318,8 +318,9 @@ def _duhamel_weight_tables(
     wb = wfac * (1.0 - phi_a)
     tb = taus**beta
     unit = params.phase_unit
-    for lo in range(0, K, _MODE_CHUNK):
-        hi = min(lo + _MODE_CHUNK, K)
+    chunk = max(1, _ML_POINTS // (M * n_nodes))
+    for lo in range(0, K, chunk):
+        hi = min(lo + chunk, K)
         z = unit * tb[:, :, None] * mus[None, None, lo:hi]
         ek = ml_ee_grid(beta, z.reshape(M * n_nodes, -1), tol=GRID_TOL).reshape(M, n_nodes, hi - lo)
         A[:, lo:hi] = np.einsum("li,lik->lk", wa, ek)
@@ -377,13 +378,15 @@ class _FoldedKernel:
     except that the B part has no interval left of t_0: the k = 0 term
     carries A only.  Hence D[n] = (C * G)[n] - B[n] G[0].
 
-    The spectrum and B are stored mode-major, (K, P) and (K, M): each
-    mode's time series is a contiguous row, so both time-axis FFTs run in
-    place along the last axis.  convolve works through blocks of modes,
-    transposing G in and D out block by block.
+    A and B hold one column per distinct multiplier; mode j uses column
+    mode_index[j].  The spectrum and B are stored mode-major at that
+    width, (K, P) and (K, M): each multiplier's time series is a
+    contiguous row, so both time-axis FFTs run in place along the last
+    axis.  convolve works through blocks of modes, transposing G in and D
+    out block by block, and reads each mode's row through mode_index.
     """
 
-    def __init__(self, A: np.ndarray, B: np.ndarray):
+    def __init__(self, A: np.ndarray, B: np.ndarray, mode_index: np.ndarray):
         M, K = A.shape
         # P, the least power of two >= 2M, keeps lags 1..M free of wrap-around;
         # lag 0 is set, not read
@@ -393,21 +396,24 @@ class _FoldedKernel:
         C[:, 1 : M + 1] += A.T
         self.spectrum = np.fft.fft(C, axis=-1, out=C)
         self.Bt = np.ascontiguousarray(B.T)
+        self.mode_index = mode_index
 
     def convolve(self, G: np.ndarray) -> np.ndarray:
-        """D of shape (M+1, K) for the density G of shape (M+1, K); D[0] = 0."""
-        K, M = self.Bt.shape
+        """D of shape (M+1, N) for the density G of shape (M+1, N), N modes; D[0] = 0."""
+        M = self.Bt.shape[1]
+        N = G.shape[1]
         D = np.empty_like(G)
-        buf = np.empty((min(_CONV_BLOCK, K), self.size), dtype=np.complex128)
-        for lo in range(0, K, _CONV_BLOCK):
-            hi = min(lo + _CONV_BLOCK, K)
+        buf = np.empty((min(_CONV_BLOCK, N), self.size), dtype=np.complex128)
+        for lo in range(0, N, _CONV_BLOCK):
+            hi = min(lo + _CONV_BLOCK, N)
+            rows = self.mode_index[lo:hi]
             X = buf[: hi - lo]
             X[:, : M + 1] = G[:, lo:hi].T
             X[:, M + 1 :] = 0.0
             np.fft.fft(X, axis=-1, out=X)
-            X *= self.spectrum[lo:hi]
+            X *= self.spectrum[rows]
             np.fft.ifft(X, axis=-1, out=X)
-            X[:, 1:M] -= self.Bt[lo:hi, 1:] * G[0, lo:hi, None]
+            X[:, 1:M] -= self.Bt[rows, 1:] * G[0, lo:hi, None]
             D[:, lo:hi] = X[:, : M + 1].T
         D[0] = 0.0
         return D
@@ -467,22 +473,27 @@ def solve(
     table = SymbolTable(grid, params, kind=symbol_source)
     LIN = table.propagator_table(timegrid)
     LIN *= np.fft.fft(u0.values)
-    lin_phys = np.fft.ifft(LIN, axis=-1)
-    lin_phys[0] = u0.values  # t = 0 multiplier is exactly 1
+    # the linear flow is the first iterate; the first sweep turns it into
+    # the step, which the next rebinding of U frees
+    U = np.fft.ifft(LIN, axis=-1)
+    U[0] = u0.values  # t = 0 multiplier is exactly 1
 
     if not nonlinear and forcing is None:
-        return SolutionTrajectory(timegrid, grid, lin_phys)
+        return SolutionTrajectory(timegrid, grid, U)
 
     # the memory term carries the phase i^{-beta}: fold it into the weights
-    unit = params.phase_unit
-    kernel = _FoldedKernel(*(unit * w for w in table.duhamel_tables(timegrid)))
+    A, B = table.duhamel_tables(timegrid)
+    np.multiply(params.phase_unit, A, out=A)
+    np.multiply(params.phase_unit, B, out=B)
+    kernel = _FoldedKernel(A, B, table.mode_index)
+    del A, B  # the kernel keeps its own spectrum and B
 
     force_hat = None
     if forcing is not None:
         F = np.stack([np.asarray(forcing(t), dtype=np.complex128) for t in timegrid.times])
         force_hat = np.fft.fft(F, axis=-1, out=F)
 
-    U, U_hat = lin_phys, LIN
+    U_hat = LIN
     residuals: list[float] = []
     first_norm = None
     bad_streak = 0

@@ -149,6 +149,22 @@ class TestParseConfig:
         assert f"run.cfg:{line}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "exp, key", [(exp, key) for exp, e in cli.EXPERIMENTS.items() for key in e.required]
+    )
+    def test_missing_required_key_rejected(self, tmp_path, capsys, exp, key):
+        # the committed config without the key's line fails before any output
+        config = next(p for p in CONFIGS if p.stem == exp.replace("-", "_")).read_text()
+        lines = [line for line in config.splitlines() if line.split("=")[0].strip() != key]
+        p = write(tmp_path, "\n".join(lines) + "\n")
+        message = rf"run\.cfg: experiment '{exp}' requires key '{key}'"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(p)
+        assert main([exp, "--config", str(p), "--describe"]) == 2
+        assert main([exp, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_delta_key_rejected(self, tmp_path):
         # delta = s + sigma - alpha is derived, never set
         p = write(tmp_path, MINIMAL_MASS + "delta = 0.3\n")
@@ -176,14 +192,14 @@ def test_readme_key_table_matches_cli():
         for name in ("model", "initial data")
     }
     assert groups == {"model": cli._MODEL, "initial data": cli._INITIAL}
-    rows = re.findall(r"^\| `([a-z-]+)` \| (.+) \| (yes|no) \|$", text, re.M)
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.+) \| (.+) \| (yes|no) \|$", text, re.M)
     table = {}
-    for exp, keys, workers in rows:
+    for exp, keys, required, workers in rows:
         names = ()
         for tok in keys.split(", "):
             names += groups[tok] if tok in groups else (tok.strip("`"),)
-        table[exp] = (names, workers == "yes")
-    assert table == {exp: (e.keys, e.fans_out) for exp, e in cli.EXPERIMENTS.items()}
+        table[exp] = (names, tuple(re.findall(r"`(\w+)`", required)), workers == "yes")
+    assert table == {exp: (e.keys, e.required, e.fans_out) for exp, e in cli.EXPERIMENTS.items()}
 
 
 def test_all_six_configs_committed():
@@ -219,7 +235,9 @@ def config_files(draw):
     keys = cli.EXPERIMENTS[exp].keys
     values = {"experiment": exp, **(_ADMISSIBLE if "alpha" in keys else {})}
     free = [k for k in keys if k not in _COUPLED]
-    for key in draw(st.lists(st.sampled_from(free), unique=True, max_size=8)):
+    required = [k for k in cli.EXPERIMENTS[exp].required if k not in _COUPLED]
+    drawn = draw(st.lists(st.sampled_from(free), unique=True, max_size=8))
+    for key in required + [k for k in drawn if k not in required]:
         strategy, _ = _VALUES[cli._KEY_PARSERS[key]]
         values[key] = draw(strategy)
     if "center" in values or "freq" in values:
