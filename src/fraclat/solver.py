@@ -370,6 +370,19 @@ def _batch_nonlinearity(U: np.ndarray, params: ModelParams) -> np.ndarray:
 _CONV_BLOCK = 256
 
 
+def _row_view(index: np.ndarray):
+    """index as a slice when its entries step by +1 or -1, else index itself.
+
+    Rows selected by the slice are a view of the array, with nothing copied.
+    """
+    if index.size > 1:
+        step = int(index[1]) - int(index[0])
+        if step in (1, -1) and np.all(np.diff(index) == step):
+            stop = int(index[-1]) + step
+            return slice(int(index[0]), stop if stop >= 0 else None, step)
+    return index
+
+
 class _FoldedKernel:
     """The causal product-integration sum as one convolution, kernel transformed once.
 
@@ -383,7 +396,9 @@ class _FoldedKernel:
     width, (K, P) and (K, M): each multiplier's time series is a
     contiguous row, so both time-axis FFTs run in place along the last
     axis.  convolve works through blocks of modes, transposing G in and D
-    out block by block, and reads each mode's row through mode_index.
+    out block by block, and reads each mode's row through mode_index.  A
+    SymbolTable's blocks run through their rows in steps of +1 or -1, so
+    each block reads its rows as a view, not as a gathered copy.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, mode_index: np.ndarray):
@@ -396,7 +411,11 @@ class _FoldedKernel:
         C[:, 1 : M + 1] += A.T
         self.spectrum = np.fft.fft(C, axis=-1, out=C)
         self.Bt = np.ascontiguousarray(B.T)
-        self.mode_index = mode_index
+        n = mode_index.size
+        self.blocks = [
+            (lo, min(lo + _CONV_BLOCK, n), _row_view(mode_index[lo : lo + _CONV_BLOCK]))
+            for lo in range(0, n, _CONV_BLOCK)
+        ]
 
     def convolve(self, G: np.ndarray) -> np.ndarray:
         """D of shape (M+1, N) for the density G of shape (M+1, N), N modes; D[0] = 0."""
@@ -404,9 +423,7 @@ class _FoldedKernel:
         N = G.shape[1]
         D = np.empty_like(G)
         buf = np.empty((min(_CONV_BLOCK, N), self.size), dtype=np.complex128)
-        for lo in range(0, N, _CONV_BLOCK):
-            hi = min(lo + _CONV_BLOCK, N)
-            rows = self.mode_index[lo:hi]
+        for lo, hi, rows in self.blocks:
             X = buf[: hi - lo]
             X[:, : M + 1] = G[:, lo:hi].T
             X[:, M + 1 :] = 0.0

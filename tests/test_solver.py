@@ -265,6 +265,8 @@ class TestDuhamelWeights:
         full = _FoldedKernel(A[:, tab.mode_index], B[:, tab.mode_index], np.arange(grid.n_points))
         pair = _FoldedKernel(A, B, tab.mode_index)
         assert pair.spectrum.shape == (grid.n_points // 2 + 1, full.size)
+        # every block reads its kernel rows as a view, none as a gathered copy
+        assert all(isinstance(rows, slice) for _, _, rows in pair.blocks)
         rng = np.random.default_rng(3)
         G = rng.normal(size=(13, grid.n_points)) + 1j * rng.normal(size=(13, grid.n_points))
         assert np.array_equal(pair.convolve(G), full.convolve(G))
