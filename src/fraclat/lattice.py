@@ -229,8 +229,8 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-# nodes per block of the eta1 and eta2 sums: their temporaries stay a few
-# (_NORM_ROWS, sites) arrays, whatever the number of nodes
+# nodes per block of the eta1, eta2 and eta3 passes: their temporaries stay a
+# few (_NORM_ROWS, sites) arrays, whatever the number of nodes
 _NORM_ROWS = 32
 
 
@@ -264,7 +264,9 @@ def norm_smoothing(traj, delta: float) -> float:
 
 def norm_maximal(traj, q: float) -> float:
     """|| u ||_{L^q_h L^inf_T} of a SolutionTrajectory: per-site sup over time, then L^q_h."""
-    sup = np.abs(traj.values).max(axis=0)
+    sup = np.zeros(traj.grid.n_points)
+    for lo in range(0, len(traj.values), _NORM_ROWS):
+        np.maximum(sup, np.abs(traj.values[lo : lo + _NORM_ROWS]).max(axis=0), out=sup)
     return norm_lp(LatticeField(grid=traj.grid, values=sup.astype(np.complex128)), q)
 
 
@@ -272,8 +274,8 @@ def lambda_norm(traj, params, *, spectrum: np.ndarray | None = None) -> NormRepo
     """Contraction norm of a SolutionTrajectory.
 
     eta1 smoothing (exponent params.delta = s+sigma-alpha), eta2 energy sup_t H^s,
-    eta3 maximal; one batched DFT of the nodes serves eta1 and eta2, which
-    then run over blocks of _NORM_ROWS nodes.
+    eta3 maximal; one batched DFT of the nodes serves eta1 and eta2.  All
+    three run over blocks of _NORM_ROWS nodes.
     ``spectrum`` may pass that DFT in, fft(traj.values, axis=-1), when the
     caller already holds it.
 

@@ -17,10 +17,11 @@ FFT along the time axis for all modes at once.  The two weight families
 fold into one kernel C[m] = A[m-1] + B[m] whose spectrum is computed
 once per solve, so a Picard sweep costs one forward and one inverse FFT
 (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  The
-multiplier is even, mu(xi) = mu(-xi), so the Mittag-Leffler tables are
-evaluated once per distinct mu (once per +-xi pair).  The propagator
-table is gathered to every mode; the memory kernel is stored once per
-distinct mu, and each mode reads its pair's row through mode_index.
+multiplier is even, mu(xi) = mu(-xi), so in FFT order modes j and N-j
+are one +-xi pair, and the Mittag-Leffler tables are evaluated once per
+pair: mode j reads row min(j, N-j), and K = N/2 + 1 rows cover the N
+modes.  The propagator table is gathered to every mode; the memory
+kernel keeps its K rows.
 
 The fixed point is produced by Picard iteration over the whole time
 interval, mirroring the contraction construction behind the
@@ -213,18 +214,18 @@ class SymbolTable:
     def __init__(self, grid: LatticeGrid, params: ModelParams, kind: str = "lattice"):
         if kind not in ("lattice", "continuum"):
             raise ValueError(f"symbol kind must be 'lattice' or 'continuum': {kind}")
-        self.grid = grid
         self.params = params
-        self.kind = kind
         if kind == "lattice":
             wvals = w_on_dft_grid(SymbolConfig(alpha=params.alpha), grid.n_points)
             self.mu = wvals / grid.h**params.alpha
         else:
             self.mu = (np.abs(grid.freqs()) / grid.h) ** params.alpha
         self.mu[0] = 0.0  # zero mode exactly
-        # mu(xi) = mu(-xi): tables are evaluated on the distinct values only
-        # (one per +-xi pair) and gathered back to the modes by mode_index
-        self.distinct_mu, self.mode_index = np.unique(self.mu, return_inverse=True)
+        # mu(xi) = mu(-xi), increasing in |xi|: tables are evaluated once per
+        # +-xi pair, and mode j reads row min(j, N-j)
+        j = np.arange(grid.n_points)
+        self.distinct_mu = self.mu[: grid.n_points // 2 + 1]
+        self.mode_index = np.minimum(j, grid.n_points - j)
 
     def propagator_table(self, timegrid: TimeGrid) -> np.ndarray:
         """E_beta(i^{-beta} t^beta mu) at every time node: (m_steps+1, n_points).
@@ -243,8 +244,8 @@ class SymbolTable:
         Row l-1 holds the lag-l pair: the integral of the kernel against
         the linear density over [t_j, t_{j+1}] with t_n - t_j = l dt is
         A[l-1]*g(t_j) + B[l-1]*g(t_{j+1}).  The kernel is stored once per
-        distinct mu: column k belongs to distinct_mu[k], and the mode of
-        propagator_table's column j reads column mode_index[j].
+        +-xi pair: column k belongs to distinct_mu[k], and the mode of
+        propagator_table's column j reads column min(j, N-j).
         """
         return _duhamel_weight_tables(timegrid, self.distinct_mu, self.params)
 
@@ -370,19 +371,6 @@ def _batch_nonlinearity(U: np.ndarray, params: ModelParams) -> np.ndarray:
 _CONV_BLOCK = 256
 
 
-def _row_view(index: np.ndarray):
-    """index as a slice when its entries step by +1 or -1, else index itself.
-
-    Rows selected by the slice are a view of the array, with nothing copied.
-    """
-    if index.size > 1:
-        step = int(index[1]) - int(index[0])
-        if step in (1, -1) and np.all(np.diff(index) == step):
-            stop = int(index[-1]) + step
-            return slice(int(index[0]), stop if stop >= 0 else None, step)
-    return index
-
-
 class _FoldedKernel:
     """The causal product-integration sum as one convolution, kernel transformed once.
 
@@ -391,17 +379,17 @@ class _FoldedKernel:
     except that the B part has no interval left of t_0: the k = 0 term
     carries A only.  Hence D[n] = (C * G)[n] - B[n] G[0].
 
-    A and B hold one column per distinct multiplier; mode j uses column
-    mode_index[j].  The spectrum and B are stored mode-major at that
-    width, (K, P) and (K, M): each multiplier's time series is a
-    contiguous row, so both time-axis FFTs run in place along the last
-    axis.  convolve works through blocks of modes, transposing G in and D
-    out block by block, and reads each mode's row through mode_index.  A
-    SymbolTable's blocks run through their rows in steps of +1 or -1, so
-    each block reads its rows as a view, not as a gathered copy.
+    A and B hold one column per +-xi pair, K = N/2 + 1 for N modes in FFT
+    order: mode j uses column min(j, N-j).  The spectrum and B are stored
+    mode-major at that width, (K, P) and (K, M): each pair's time series
+    is a contiguous row, so both time-axis FFTs run in place along the
+    last axis.  convolve works through blocks of modes, transposing G in
+    and D out block by block.  The blocks split at mode K, so a block
+    below it reads rows lo..hi-1 and a block above it rows N-lo down to
+    N-hi+1, each a view of the kernel.
     """
 
-    def __init__(self, A: np.ndarray, B: np.ndarray, mode_index: np.ndarray):
+    def __init__(self, A: np.ndarray, B: np.ndarray, n_modes: int):
         M, K = A.shape
         # P, the least power of two >= 2M, keeps lags 1..M free of wrap-around;
         # lag 0 is set, not read
@@ -411,10 +399,10 @@ class _FoldedKernel:
         C[:, 1 : M + 1] += A.T
         self.spectrum = np.fft.fft(C, axis=-1, out=C)
         self.Bt = np.ascontiguousarray(B.T)
-        n = mode_index.size
+        edges = [*range(0, K, _CONV_BLOCK), *range(K, n_modes, _CONV_BLOCK), n_modes]
         self.blocks = [
-            (lo, min(lo + _CONV_BLOCK, n), _row_view(mode_index[lo : lo + _CONV_BLOCK]))
-            for lo in range(0, n, _CONV_BLOCK)
+            (lo, hi, slice(lo, hi) if hi <= K else slice(n_modes - lo, n_modes - hi, -1))
+            for lo, hi in zip(edges, edges[1:])
         ]
 
     def convolve(self, G: np.ndarray) -> np.ndarray:
@@ -468,22 +456,21 @@ def solve(
     fail to decrease on three consecutive sweeps: the signal that T
     exceeds the contraction horizon.
     """
+    # the continuum reference carries no lattice filter, in its datum or
+    # its nonlinearity
+    run_params = replace(params, use_filter=False) if symbol_source == "continuum" else params
     if initial_field is not None:
         if not initial_field.grid.compatible(grid):
             raise GridMismatchError("initial_field grid does not match solver grid")
         u0 = initial_field
-    elif symbol_source == "continuum":
-        u0 = discretize(f, grid)
     else:
-        u0 = prepare_initial(f, grid, params.use_filter)
+        u0 = prepare_initial(f, grid, run_params.use_filter)
     bad = np.flatnonzero(~np.isfinite(u0.values))
     if bad.size:
         raise ValueError(
             f"solve: the initial field is not finite at {bad.size} of {grid.n_points} "
             f"sites (site {bad[0]} holds {u0.values[bad[0]]})"
         )
-    # the continuum reference carries no lattice filter in its nonlinearity
-    run_params = replace(params, use_filter=False) if symbol_source == "continuum" else params
     if nonlinear and run_params.use_filter:
         grid.coarse()  # the filter's sub-lattice: n_points % 4 == 0
 
@@ -502,7 +489,7 @@ def solve(
     A, B = table.duhamel_tables(timegrid)
     np.multiply(params.phase_unit, A, out=A)
     np.multiply(params.phase_unit, B, out=B)
-    kernel = _FoldedKernel(A, B, table.mode_index)
+    kernel = _FoldedKernel(A, B, grid.n_points)
     del A, B  # the kernel keeps its own spectrum and B
 
     force_hat = None

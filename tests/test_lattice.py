@@ -26,6 +26,7 @@ from fraclat.lattice import (
     norm_sobolev,
     restrict,
 )
+from fraclat.lattice import _NORM_ROWS
 from fraclat.solver import ModelParams, SolutionTrajectory, TimeGrid
 
 
@@ -420,6 +421,23 @@ class TestMixedNorms:
         tg = TimeGrid(T=1.0, m_steps=2)
         traj = SolutionTrajectory(timegrid=tg, grid=g, values=np.stack([u.values, two.values, u.values]))
         assert norm_maximal(traj, 4.0) == pytest.approx(2.0 * norm_lp(u, 4.0), rel=1e-12)
+
+    def test_maximal_blocks_equal_whole_array_max(self):
+        # 70 nodes span three blocks of _NORM_ROWS; each site's sup sits in
+        # the first, the middle or the last, partial block
+        from fraclat.lattice import _NORM_ROWS
+
+        g = LatticeGrid(h=0.2, n_points=32)
+        tg = TimeGrid(T=1.0, m_steps=69)
+        rng = np.random.default_rng(14)
+        values = rng.normal(size=(70, 32)) + 1j * rng.normal(size=(70, 32))
+        peaks = rng.integers(0, 70, size=32)
+        peaks[:3] = (0, _NORM_ROWS + 5, 69)
+        values[peaks, np.arange(32)] *= 10.0
+        assert len(values) > 2 * _NORM_ROWS
+        sup = np.abs(values).max(axis=0)
+        ref = norm_lp(LatticeField(grid=g, values=sup.astype(np.complex128)), 4.0)
+        assert norm_maximal(SolutionTrajectory(timegrid=tg, grid=g, values=values), 4.0) == ref
 
     def test_lambda_zero(self):
         g = LatticeGrid(h=0.2, n_points=16)

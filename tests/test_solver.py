@@ -226,50 +226,65 @@ class TestDuhamelWeights:
 
     def test_convolution_matches_direct_sum(self):
         # the folded kernel against the O(M^2) double sum; a large G[0] makes
-        # the B[n] G[0] correction visible, from n = 1 to n = M; K past two
-        # mode blocks reuses the block buffer.  Paired, modes j and K - j
-        # share a kernel row, as the +-xi pairs of a SymbolTable do, so the
-        # kernel has K // 2 + 1 rows for K modes.
+        # the B[n] G[0] correction visible, from n = 1 to n = M; N past two
+        # mode blocks reuses the block buffer.  Modes j and N - j share a
+        # kernel row, as the +-xi pairs of a SymbolTable do, so the kernel
+        # has N // 2 + 1 rows for N modes.
         rng = np.random.default_rng(0)
-        cases = ((1, 6), (2, 6), (12, 6), (13, 6), (13, 2 * _CONV_BLOCK + 4))
-        for paired, (M, K) in ((paired, case) for paired in (False, True) for case in cases):
-            j = np.arange(K)
-            index = np.minimum(j, K - j) if paired else j
-            rows = index.max() + 1
+        for M, N in ((1, 6), (2, 6), (12, 6), (13, 6), (13, 2 * _CONV_BLOCK + 4)):
+            j = np.arange(N)
+            index = np.minimum(j, N - j)
+            rows = N // 2 + 1
             A = rng.normal(size=(M, rows)) + 1j * rng.normal(size=(M, rows))
             B = rng.normal(size=(M, rows)) + 1j * rng.normal(size=(M, rows))
-            G = rng.normal(size=(M + 1, K)) + 1j * rng.normal(size=(M + 1, K))
+            G = rng.normal(size=(M + 1, N)) + 1j * rng.normal(size=(M + 1, N))
             G[0] *= 100.0
-            D = _FoldedKernel(A, B, index).convolve(G)
+            D = _FoldedKernel(A, B, N).convolve(G)
             A, B = A[:, index], B[:, index]
             ref = np.zeros_like(D)
             for n in range(1, M + 1):
                 for l in range(1, n + 1):
                     ref[n] += A[l - 1] * G[n - l] + B[l - 1] * G[n - l + 1]
-            assert D.shape == (M + 1, K)
+            assert D.shape == (M + 1, N)
             assert np.all(D[0] == 0.0)
             for n in (1, M):
                 assert np.abs(D[n] - ref[n]).max() < 1e-12 * np.abs(ref[n]).max()
             assert np.abs(D - ref).max() < 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n", [8, 256, 516, 1024, 4096])
+    def test_blocks_read_pair_rows_as_slices(self, n):
+        # the blocks tile the modes in order, and each reads the rows
+        # min(j, n - j) of its modes through a slice, a view of the kernel
+        K = n // 2 + 1
+        kernel = _FoldedKernel(np.zeros((2, K)), np.zeros((2, K)), n)
+        j = np.arange(n)
+        assert np.array_equal(np.concatenate([j[lo:hi] for lo, hi, _ in kernel.blocks]), j)
+        for lo, hi, rows in kernel.blocks:
+            assert isinstance(rows, slice) and 0 < hi - lo <= _CONV_BLOCK
+            assert np.array_equal(np.arange(K)[rows], np.minimum(j, n - j)[lo:hi])
+
     @pytest.mark.parametrize("kind", ["lattice", "continuum"])
     def test_pair_width_kernel_equals_full_width(self, kind):
         # one kernel row per +-xi pair changes where a mode's row is read,
-        # not one bit of the memory term; 1024 modes span four mode blocks
+        # not one bit of the memory term: modes j and N - j with the same
+        # density get the same D, bit for bit, whichever blocks hold them.
+        # A neighbouring row has another mu, so a reversed slice one row
+        # off fails this; 1024 modes span five mode blocks
         params = ModelParams(alpha=1.5, beta=0.85)
         grid = LatticeGrid(h=0.05, n_points=1024)
+        N = grid.n_points
         tg = TimeGrid(T=0.2, m_steps=12)
         tab = SymbolTable(grid, params, kind=kind)
         A, B = tab.duhamel_tables(tg)
-        assert A.shape == B.shape == (12, grid.n_points // 2 + 1)
-        full = _FoldedKernel(A[:, tab.mode_index], B[:, tab.mode_index], np.arange(grid.n_points))
-        pair = _FoldedKernel(A, B, tab.mode_index)
-        assert pair.spectrum.shape == (grid.n_points // 2 + 1, full.size)
-        # every block reads its kernel rows as a view, none as a gathered copy
-        assert all(isinstance(rows, slice) for _, _, rows in pair.blocks)
+        assert A.shape == B.shape == (12, N // 2 + 1)
+        kernel = _FoldedKernel(A, B, N)
+        assert kernel.spectrum.shape == (N // 2 + 1, kernel.size)
         rng = np.random.default_rng(3)
-        G = rng.normal(size=(13, grid.n_points)) + 1j * rng.normal(size=(13, grid.n_points))
-        assert np.array_equal(pair.convolve(G), full.convolve(G))
+        G = rng.normal(size=(13, N)) + 1j * rng.normal(size=(13, N))
+        j = np.arange(1, N // 2)
+        G[:, N - j] = G[:, j]
+        D = kernel.convolve(G)
+        assert np.array_equal(D[:, j], D[:, N - j])
 
 
 class TestSymbolTable:
@@ -296,12 +311,15 @@ class TestSymbolTable:
 
     @pytest.mark.parametrize("kind", ["lattice", "continuum"])
     def test_mu_even_in_xi(self, kind):
-        for n in (256, 512, 1024, 4096):
+        # the pair layout mode j -> row min(j, n - j) needs mu even in xi and
+        # strictly increasing in |xi| up to the Nyquist mode n / 2
+        for n in (8, 18, 256, 512, 516, 1024, 4096):
             grid = LatticeGrid(h=51.2 / n, n_points=n)
             tab = SymbolTable(grid, ModelParams(alpha=1.5, beta=0.85), kind=kind)
             k = np.arange(1, n // 2)
             assert np.array_equal(tab.mu[k], tab.mu[n - k])
             assert tab.distinct_mu.size == n // 2 + 1
+            assert np.all(np.diff(tab.distinct_mu) > 0.0)
             assert np.array_equal(tab.distinct_mu[tab.mode_index], tab.mu)
 
     @pytest.mark.parametrize("kind", ["lattice", "continuum"])
