@@ -7,8 +7,10 @@ with a "pass" flag, so the CLI can persist machine-readable reports.
 The continuum study measures sup-in-time Sobolev distances between the
 linearly interpolated lattice solution and a fine pseudo-spectral
 reference, then fits the convergence order against the mesh; the target
-order is 2 - alpha.  The smoothing experiment evolves Nyquist wave
-packets under the leading-order phase exp(-i t phi_h) and compares the
+order is 2 - alpha.  The mass and smoothing experiments reach the
+linear flow only through the solver: each datum evolves under the
+memory propagator E_beta(i^{-beta} t^beta mu) of a linear solve.  The
+smoothing experiment evolves Nyquist wave packets and compares the
 growth of the smoothing quotient with and without the interpolation
 filter: unfiltered packets resonate at the symbol's critical point while
 filtered ones stay h-uniform.
@@ -37,9 +39,7 @@ from .solver import (
     ModelParams,
     NonContractionError,
     SolutionTrajectory,
-    SymbolTable,
     TimeGrid,
-    prepare_initial,
     solve,
     solve_continuum_reference,
 )
@@ -161,10 +161,9 @@ def run_symbol_checks(alpha_list, beta: float = 0.85) -> dict:
         fd_wp_err = float(np.max(np.abs(fd2 - np.asarray(w_second(cfg, mids)))))
 
         xt = np.linspace(1e-3, math.pi, _TABLE_POINTS)
-        wt = np.asarray(w_eval(cfg, xt))
         table = np.column_stack(
-            [xt, wt, np.asarray(w_prime(cfg, xt)), np.asarray(w_second(cfg, xt)),
-             wt ** (1.0 / beta)]  # phi_h at h = 1
+            [xt, np.asarray(w_eval(cfg, xt)), np.asarray(w_prime(cfg, xt)),
+             np.asarray(w_second(cfg, xt)), phi_eval(cfg, 1.0, xt, beta)]
         )
 
         entry = {
@@ -234,13 +233,11 @@ def run_mass_uniformity(
 
     def one(h: float) -> dict:
         grid = grid_for(extent, h)
-        u0 = prepare_initial(f, grid, params.use_filter)
-        nrm0 = norm_lp(u0, 2)
+        traj = solve(params, grid, timegrid, f, nonlinear=False)
+        nrm0 = norm_lp(traj.snapshot(0), 2)
         if nrm0 == 0.0:
             return {"h": h, "ratio": None, "skipped": "zero initial data"}
-        spectra = SymbolTable(grid, params).propagator_table(timegrid) * np.fft.fft(u0.values)
-        # Parseval per node: ||L_{h,t} f_h||^2 = h/M sum |mult c0|^2
-        mass = np.sqrt(grid.h / grid.n_points * np.sum(np.abs(spectra) ** 2, axis=-1))
+        mass = np.sqrt(grid.h * np.sum(np.abs(traj.values) ** 2, axis=-1))
         return {"h": h, "ratio": float(mass.max() / nrm0)}
 
     entries = _fan_out(one, h_list, workers)
@@ -260,15 +257,6 @@ def run_mass_uniformity(
 # ---------------------------------------------------------------------------
 
 
-def _phase_evolution(u0: LatticeField, params: ModelParams, times: np.ndarray) -> SolutionTrajectory:
-    """Linear evolution under the leading-order phase e^{-i t phi_h(xi)}."""
-    grid = u0.grid
-    phi = phi_eval(SymbolConfig(alpha=params.alpha), grid.h, grid.freqs(), params.beta)
-    values = np.fft.ifft(np.exp(-1j * times[:, None] * phi) * np.fft.fft(u0.values), axis=-1)
-    tg = TimeGrid(T=float(times[-1]), m_steps=len(times) - 1)
-    return SolutionTrajectory(timegrid=tg, grid=grid, values=values)
-
-
 # the share of a packet's spectral mass that must sit within 0.2 of xi = pi
 _MIN_SPECTRAL_MASS = 0.95
 
@@ -286,9 +274,11 @@ def run_smoothing_experiment(
     """Filtered-vs-unfiltered smoothing quotients for Nyquist packet data.
 
     Q(h) = || <h^{-1} grad>^{(sigma-1)/2 - eps} u ||_{L^inf_h L^2_T} / ||u0||_{L^2_h}
-    under the phase evolution only.  The unfiltered branch feeds the packet
-    straight to the h-grid (spectrum on the critical point xi = pi); the
-    filtered branch builds it on the 2h-grid and applies the filter.
+    with u the linear solve of the packet, which evolves under the solver's
+    memory propagator E_beta(i^{-beta} t^beta mu).  The unfiltered branch
+    feeds the packet straight to the h-grid (spectrum on the critical
+    point xi = pi); the filtered branch builds it on the 2h-grid and
+    applies the filter.
 
     The default packet width is scaled per mesh, W = 20 h: the spectral
     standard deviation h/W then sits at a quarter of the 0.2 window, so
@@ -297,7 +287,7 @@ def run_smoothing_experiment(
     """
     h_list = sorted(h_list, reverse=True)
     delta = (params.sigma - 1.0) / 2.0 - eps
-    times = np.linspace(0.0, T, n_times + 1)
+    timegrid = TimeGrid(T=T, m_steps=n_times)
 
     def one(h: float) -> dict:
         grid = grid_for(extent, h)
@@ -307,7 +297,7 @@ def run_smoothing_experiment(
         filt = filter_pi(nyquist_packet(grid.coarse(), width))
         out = {"h": h, "packet_width": width, "packet_spectral_mass": mass}
         for tag, u0 in (("unfiltered", raw), ("filtered", filt)):
-            traj = _phase_evolution(u0, params, times)
+            traj = solve(params, grid, timegrid, None, nonlinear=False, initial_field=u0)
             out[tag] = norm_smoothing(traj, delta) / norm_lp(u0, 2)
         return out
 
@@ -356,7 +346,7 @@ def _trajectory_errors(
     fine = interp_linear(traj, ref.grid)
     diff = SolutionTrajectory(timegrid=ref.timegrid, grid=ref.grid, values=fine.values - ref.values)
     rep = lambda_norm(diff, params)
-    err_l2 = max(norm_lp(diff.snapshot(i), 2) for i in range(len(diff.times)))
+    err_l2 = float(np.sqrt(ref.grid.h * np.sum(np.abs(diff.values) ** 2, axis=-1)).max())
     return rep.eta2, err_l2, rep.lam
 
 

@@ -274,19 +274,13 @@ def _duhamel_nodes(timegrid: TimeGrid, beta: float, n_nodes: int = 8):
     xj, wj = _gauss_jacobi(n_nodes, beta - 1.0)
     xl, wl = np.polynomial.legendre.leggauss(n_nodes)
 
-    taus = np.empty((M, n_nodes))
-    wfac = np.empty((M, n_nodes))
-    phi_a = np.empty((M, n_nodes))
-    # lag 1 touches the (t-s)^{beta-1} singularity: Gauss-Jacobi absorbs it
-    taus[0] = dt * (xj + 1.0) / 2.0
-    wfac[0] = (dt / 2.0) ** beta * wj
-    phi_a[0] = (xj + 1.0) / 2.0
-    # lags >= 2: smooth kernel, Gauss-Legendre with the explicit tau^{beta-1}
-    for l in range(2, M + 1):
-        t_nodes = (l - 1) * dt + dt * (xl + 1.0) / 2.0
-        taus[l - 1] = t_nodes
-        wfac[l - 1] = dt / 2.0 * wl * t_nodes ** (beta - 1.0)
-        phi_a[l - 1] = (xl + 1.0) / 2.0
+    # lag 1 touches the (t-s)^{beta-1} singularity: Gauss-Jacobi absorbs it;
+    # lags >= 2 (rows 1..M-1): smooth kernel, Gauss-Legendre with the
+    # explicit tau^{beta-1}
+    t_nodes = np.arange(1, M)[:, None] * dt + dt * (xl + 1.0) / 2.0
+    taus = np.vstack([dt * (xj + 1.0) / 2.0, t_nodes])
+    wfac = np.vstack([(dt / 2.0) ** beta * wj, dt / 2.0 * wl * t_nodes ** (beta - 1.0)])
+    phi_a = np.vstack([(xj + 1.0) / 2.0, np.broadcast_to((xl + 1.0) / 2.0, t_nodes.shape)])
     return taus, wfac, phi_a
 
 

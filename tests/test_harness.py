@@ -18,9 +18,24 @@ from fraclat.harness import (
     run_symbol_checks,
     spectral_mass_near,
 )
-from fraclat.lattice import GridMismatchError, LatticeGrid, norm_lp
-from fraclat.solver import ModelParams, SymbolTable, prepare_initial
+from fraclat.lattice import (
+    GridMismatchError,
+    LatticeField,
+    LatticeGrid,
+    filter_pi,
+    norm_lp,
+    norm_smoothing,
+)
+from fraclat.solver import (
+    ModelParams,
+    SolutionTrajectory,
+    SymbolTable,
+    TimeGrid,
+    prepare_initial,
+    solve,
+)
 from fraclat.special import ml_e_grid
+from fraclat.symbol import SymbolConfig, phi_eval
 
 
 def gauss(x):
@@ -132,18 +147,35 @@ class TestSmoothing:
 
     def test_filtered_constant_data_flat(self):
         # zero-frequency data: multiplier 1, quotient ~ sqrt(T), flat in h
-        from fraclat.harness import _phase_evolution
-        from fraclat.lattice import LatticeField, filter_pi, norm_lp, norm_smoothing
-
         params = ModelParams(alpha=1.5, beta=0.85)
         qs = []
         for h in (0.4, 0.2):
             coarse = LatticeGrid(h=2 * h, n_points=int(round(12.8 / h)) // 2)
             ones = LatticeField(grid=coarse, values=np.ones(coarse.n_points, dtype=complex))
             u0 = filter_pi(ones)
-            traj = _phase_evolution(u0, params, np.linspace(0.0, 1.0, 17))
+            traj = solve(params, u0.grid, TimeGrid(T=1.0, m_steps=16), None,
+                         nonlinear=False, initial_field=u0)
             qs.append(norm_smoothing(traj, 0.3) / norm_lp(u0, 2))
         assert qs[0] == pytest.approx(qs[1], rel=1e-6)
+
+    def test_beta_one_matches_phase_evolution(self):
+        # at beta = 1, E_1(-i t mu) = exp(-i t mu) and phi_h = mu: the
+        # quotients of the solver's propagator equal those of the closed-form
+        # phase evolution ifft(exp(-i t phi_h) fft(u0))
+        params = ModelParams(alpha=1.5, beta=1.0)
+        T, n_times = 1.0, 32
+        rep = run_smoothing_experiment(params, [0.2, 0.1], extent=25.6, T=T, n_times=n_times)
+        tg = TimeGrid(T=T, m_steps=n_times)
+        for e in rep["entries"]:
+            grid = grid_for(25.6, e["h"])
+            phi = phi_eval(SymbolConfig(alpha=params.alpha), grid.h, grid.freqs(), params.beta)
+            raw = nyquist_packet(grid, e["packet_width"])
+            filt = filter_pi(nyquist_packet(grid.coarse(), e["packet_width"]))
+            for tag, u0 in (("unfiltered", raw), ("filtered", filt)):
+                values = np.fft.ifft(np.exp(-1j * tg.times[:, None] * phi) * np.fft.fft(u0.values), axis=-1)
+                traj = SolutionTrajectory(timegrid=tg, grid=grid, values=values)
+                q = norm_smoothing(traj, rep["delta"]) / norm_lp(u0, 2)
+                assert e[tag] == pytest.approx(q, rel=1e-12)
 
     def test_filtered_packet_needs_n_divisible_by_4(self):
         # h = 0.2 on extent 3.6 gives n_points = 18: even, but no 2h grid
