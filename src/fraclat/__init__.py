@@ -34,9 +34,7 @@ from .solver import (
     NonContractionError,
     ParameterError,
     SolutionTrajectory,
-    SymbolTable,
     TimeGrid,
-    apply_nonlinearity,
     prepare_initial,
     solve,
     solve_continuum_reference,

@@ -66,7 +66,17 @@ def _parse_float(s: str) -> float:
 
 
 def _parse_float_list(s: str) -> list[float]:
-    return [_parse_float(tok) for tok in s.replace(",", " ").split()]
+    values = [_parse_float(tok) for tok in s.replace(",", " ").split()]
+    if not values:
+        raise ValueError(f"no numbers in {s!r}")
+    return values
+
+
+def _parse_count(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
 
 
 _INITIAL_KINDS = ("gaussian", "packet")
@@ -105,7 +115,7 @@ _KEY_PARSERS = {
     "packet_width": _parse_float,
     "alphas": _parse_float_list,
     "betas": _parse_float_list,
-    "n_radii": int,
+    "n_radii": _parse_count,
     "r_max": _parse_float,
 }
 

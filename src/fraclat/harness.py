@@ -421,8 +421,6 @@ def run_continuum_study(
 
     if all(e > 0.0 for _, e in pairs) and len(pairs) >= 3:
         order = fit_order(pairs)
-    elif all(e > 0.0 for _, e in l2_errors) and len(l2_errors) >= 3:
-        order = fit_order(l2_errors)
     else:
         order = float("nan")
     errs = [e for _, e in pairs]

@@ -46,7 +46,7 @@ class LatticeGrid:
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise ValueError(f"LatticeGrid: h must be positive and finite, got {self.h}")
         if self.n_points < 8 or self.n_points % 2:
-            raise ValueError("LatticeGrid: n_points must be even and >= 8")
+            raise ValueError(f"LatticeGrid: n_points must be even and >= 8, got {self.n_points}")
 
     @property
     def extent(self) -> float:

@@ -158,7 +158,7 @@ class TimeGrid:
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"TimeGrid: T must be positive and finite, got {self.T}")
         if self.m_steps < 2:
-            raise ValueError("TimeGrid: m_steps must be >= 2")
+            raise ValueError(f"TimeGrid: m_steps must be >= 2, got {self.m_steps}")
 
     @property
     def dt(self) -> float:
@@ -204,50 +204,26 @@ class SolutionTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# symbol table
+# dispersion multiplier
 # ---------------------------------------------------------------------------
 
 
-class SymbolTable:
-    """Per-mode dispersion multipliers and the kernel tables built from them."""
+def _pair_multiplier(grid: LatticeGrid, alpha: float, kind: str) -> np.ndarray:
+    """The dispersion multiplier mu on the N/2 + 1 +-xi pair rows of grid.
 
-    def __init__(self, grid: LatticeGrid, params: ModelParams, kind: str = "lattice"):
-        if kind not in ("lattice", "continuum"):
-            raise ValueError(f"symbol kind must be 'lattice' or 'continuum': {kind}")
-        self.params = params
-        if kind == "lattice":
-            wvals = w_on_dft_grid(SymbolConfig(alpha=params.alpha), grid.n_points)
-            self.mu = wvals / grid.h**params.alpha
-        else:
-            self.mu = (np.abs(grid.freqs()) / grid.h) ** params.alpha
-        self.mu[0] = 0.0  # zero mode exactly
-        # mu(xi) = mu(-xi), increasing in |xi|: tables are evaluated once per
-        # +-xi pair, and mode j reads row min(j, N-j)
-        j = np.arange(grid.n_points)
-        self.distinct_mu = self.mu[: grid.n_points // 2 + 1]
-        self.mode_index = np.minimum(j, grid.n_points - j)
-
-    def propagator_table(self, timegrid: TimeGrid) -> np.ndarray:
-        """E_beta(i^{-beta} t^beta mu) at every time node: (m_steps+1, n_points).
-
-        Column j belongs to the frequency grid.freqs()[j], like mu.
-        """
-        b = self.params.beta
-        tpow = timegrid.times**b
-        z = self.params.phase_unit * np.multiply.outer(tpow, self.distinct_mu).astype(np.complex128)
-        # take, unlike fancy indexing, keeps the (nodes, modes) gather row-major
-        return ml_e_grid(b, z, tol=GRID_TOL).take(self.mode_index, axis=-1)
-
-    def duhamel_tables(self, timegrid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-        """Product-integration weights A, B of shape (m_steps, distinct_mu.size).
-
-        Row l-1 holds the lag-l pair: the integral of the kernel against
-        the linear density over [t_j, t_{j+1}] with t_n - t_j = l dt is
-        A[l-1]*g(t_j) + B[l-1]*g(t_{j+1}).  The kernel is stored once per
-        +-xi pair: column k belongs to distinct_mu[k], and the mode of
-        propagator_table's column j reads column min(j, N-j).
-        """
-        return _duhamel_weight_tables(timegrid, self.distinct_mu, self.params)
+    Row k belongs to the frequency grid.freqs()[k]; mu(xi) = mu(-xi) is
+    increasing in |xi|, so in FFT order mode j reads row min(j, N-j).
+    Row 0, the zero mode, is exactly 0.
+    """
+    K = grid.n_points // 2 + 1
+    if kind == "lattice":
+        mu = w_on_dft_grid(SymbolConfig(alpha=alpha), grid.n_points)[:K] / grid.h**alpha
+    elif kind == "continuum":
+        mu = (np.abs(grid.freqs()[:K]) / grid.h) ** alpha
+    else:
+        raise ValueError(f"symbol kind must be 'lattice' or 'continuum': {kind!r}")
+    mu[0] = 0.0
+    return mu
 
 
 def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -284,31 +260,25 @@ def _duhamel_nodes(timegrid: TimeGrid, beta: float, n_nodes: int = 8):
     return taus, wfac, phi_a
 
 
-# points per ml_ee_grid call in _duhamel_weight_tables: z and the
+# points per ml_ee_grid call in _duhamel_weight_blocks: z and the
 # evaluator's temporaries take about 105 bytes a point, so a call holds
 # under 30 MB
 _ML_POINTS = 1 << 18
 
 
-def _duhamel_weight_tables(
-    timegrid: TimeGrid,
-    mus: np.ndarray,
-    params: ModelParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Product-integration weights A, B of shape (m_steps, len(mus)).
+def _duhamel_weight_blocks(timegrid: TimeGrid, mus: np.ndarray, params: ModelParams):
+    """Product-integration weights (lo, hi, A, B), a block of columns at a time.
 
-    For target node t_n and source interval [t_j, t_{j+1}] the pair at lag
-    l = n - j approximates
+    A and B have shape (m_steps, hi - lo); column k belongs to mus[lo + k]
+    >= 0, and the blocks cover mus in order.  For target node t_n and
+    source interval [t_j, t_{j+1}] the pair at lag l = n - j approximates
     int (t_n - s)^{beta-1} E_{beta,beta}(i^{-beta}(t_n-s)^{beta} mu) g(s) ds
-    by A[l-1] g(t_j) + B[l-1] g(t_{j+1}) for piecewise-linear g; column k
-    belongs to mus[k] >= 0.
+    by A[l-1] g(t_j) + B[l-1] g(t_{j+1}) for piecewise-linear g.
     """
     beta = params.beta
     taus, wfac, phi_a = _duhamel_nodes(timegrid, beta)
     M, n_nodes = taus.shape
     K = mus.size
-    A = np.empty((M, K), dtype=np.complex128)
-    B = np.empty((M, K), dtype=np.complex128)
     wa = wfac * phi_a
     wb = wfac * (1.0 - phi_a)
     tb = taus**beta
@@ -318,9 +288,7 @@ def _duhamel_weight_tables(
         hi = min(lo + chunk, K)
         z = unit * tb[:, :, None] * mus[None, None, lo:hi]
         ek = ml_ee_grid(beta, z.reshape(M * n_nodes, -1), tol=GRID_TOL).reshape(M, n_nodes, hi - lo)
-        A[:, lo:hi] = np.einsum("li,lik->lk", wa, ek)
-        B[:, lo:hi] = np.einsum("li,lik->lk", wb, ek)
-    return A, B
+        yield lo, hi, np.einsum("li,lik->lk", wa, ek), np.einsum("li,lik->lk", wb, ek)
 
 
 # ---------------------------------------------------------------------------
@@ -335,23 +303,14 @@ def prepare_initial(f, grid: LatticeGrid, use_filter: bool) -> LatticeField:
     return filter_pi(discretize(f, grid.coarse()))
 
 
-def apply_nonlinearity(field: LatticeField, params: ModelParams) -> LatticeField:
+def _batch_nonlinearity(U: np.ndarray, params: ModelParams) -> np.ndarray:
     """Signed power nonlinearity, filtered through restrict + interpolate.
 
-    Filtered path: sign * Pi_h R_h (|u|^{p-1} u); with use_filter off the
-    pointwise nonlinearity is returned as-is (failure-mode experiments).
-    """
-    if params.use_filter:
-        field.grid.coarse()  # the filter's sub-lattice: n_points % 4 == 0
-    return LatticeField(grid=field.grid, values=_batch_nonlinearity(field.values, params))
-
-
-def _batch_nonlinearity(U: np.ndarray, params: ModelParams) -> np.ndarray:
-    """The nonlinearity of apply_nonlinearity on one field or on every row of (nodes, sites).
-
-    The filter keeps the even positions and averages the odd ones from
-    their cyclic neighbours, which is Pi_h R_h when n_points % 4 == 0; the
-    callers check that once, through grid.coarse().
+    Acts on one field or on every row of (nodes, sites): sign * Pi_h R_h
+    (|u|^{p-1} u), or the pointwise power with use_filter off.  The filter
+    keeps the even positions and averages the odd ones from their cyclic
+    neighbours, which is Pi_h R_h when n_points % 4 == 0; solve checks that
+    once, through grid.coarse().
     """
     G = params.sign * np.abs(U) ** (params.p - 1) * U
     if params.use_filter:
@@ -374,25 +333,29 @@ class _FoldedKernel:
     carries A only.  Hence D[n] = (C * G)[n] - B[n] G[0].
 
     A and B hold one column per +-xi pair, K = N/2 + 1 for N modes in FFT
-    order: mode j uses column min(j, N-j).  The spectrum and B are stored
-    mode-major at that width, (K, P) and (K, M): each pair's time series
-    is a contiguous row, so both time-axis FFTs run in place along the
-    last axis.  convolve works through blocks of modes, transposing G in
-    and D out block by block.  The blocks split at mode K, so a block
+    order: mode j uses column min(j, N-j).  weights yields them as
+    (lo, hi, A, B) blocks of columns, so the full (M, K) tables never
+    exist: the hole they would leave in the heap is too small for a
+    (nodes, sites) array, and would stay resident through every sweep.
+    The spectrum and B are stored mode-major at width K, (K, P) and
+    (K, M): each pair's time series is a contiguous row, so both time-axis
+    FFTs run in place along the last axis.  convolve works through blocks
+    of modes, transposing G in and D out block by block.  The blocks split at mode K, so a block
     below it reads rows lo..hi-1 and a block above it rows N-lo down to
     N-hi+1, each a view of the kernel.
     """
 
-    def __init__(self, A: np.ndarray, B: np.ndarray, n_modes: int):
-        M, K = A.shape
+    def __init__(self, weights, K: int, M: int, n_modes: int):
         # P, the least power of two >= 2M, keeps lags 1..M free of wrap-around;
         # lag 0 is set, not read
         self.size = 1 << (2 * M - 1).bit_length()
         C = np.zeros((K, self.size), dtype=np.complex128)
-        C[:, :M] = B.T
-        C[:, 1 : M + 1] += A.T
+        self.Bt = np.empty((K, M), dtype=np.complex128)
+        for lo, hi, A, B in weights:
+            C[lo:hi, :M] = B.T
+            C[lo:hi, 1 : M + 1] += A.T
+            self.Bt[lo:hi] = B.T
         self.spectrum = np.fft.fft(C, axis=-1, out=C)
-        self.Bt = np.ascontiguousarray(B.T)
         edges = [*range(0, K, _CONV_BLOCK), *range(K, n_modes, _CONV_BLOCK), n_modes]
         self.blocks = [
             (lo, hi, slice(lo, hi) if hi <= K else slice(n_modes - lo, n_modes - hi, -1))
@@ -444,11 +407,11 @@ def solve(
     nonlinear=False it makes the density u-independent (manufactured
     time-refinement studies) and the fixed point is reached in one sweep.
 
-    Raises ValueError for an initial field that is not finite,
-    GridMismatchError for a filtered nonlinear solve whose n_points is not
-    divisible by 4, and NonContractionError when an iterate stops being finite or residuals
-    fail to decrease on three consecutive sweeps: the signal that T
-    exceeds the contraction horizon.
+    Raises ValueError for an unknown symbol_source or an initial field that
+    is not finite, GridMismatchError for a filtered nonlinear solve whose
+    n_points is not divisible by 4, and NonContractionError when an iterate
+    stops being finite or residuals fail to decrease on three consecutive
+    sweeps: the signal that T exceeds the contraction horizon.
     """
     # the continuum reference carries no lattice filter, in its datum or
     # its nonlinearity
@@ -468,8 +431,13 @@ def solve(
     if nonlinear and run_params.use_filter:
         grid.coarse()  # the filter's sub-lattice: n_points % 4 == 0
 
-    table = SymbolTable(grid, params, kind=symbol_source)
-    LIN = table.propagator_table(timegrid)
+    # E_beta(i^{-beta} t^beta mu), evaluated once per +-xi pair and gathered
+    # to every mode; take, unlike fancy indexing, keeps the gather row-major
+    mu = _pair_multiplier(grid, params.alpha, symbol_source)
+    z = params.phase_unit * np.multiply.outer(timegrid.times**params.beta, mu).astype(np.complex128)
+    j = np.arange(grid.n_points)
+    LIN = ml_e_grid(params.beta, z, tol=GRID_TOL).take(np.minimum(j, grid.n_points - j), axis=-1)
+    del z  # else it stays alive through every Picard sweep
     LIN *= np.fft.fft(u0.values)
     # the linear flow is the first iterate; the first sweep turns it into
     # the step, which the next rebinding of U frees
@@ -480,11 +448,10 @@ def solve(
         return SolutionTrajectory(timegrid, grid, U)
 
     # the memory term carries the phase i^{-beta}: fold it into the weights
-    A, B = table.duhamel_tables(timegrid)
-    np.multiply(params.phase_unit, A, out=A)
-    np.multiply(params.phase_unit, B, out=B)
-    kernel = _FoldedKernel(A, B, grid.n_points)
-    del A, B  # the kernel keeps its own spectrum and B
+    unit = params.phase_unit
+    blocks = _duhamel_weight_blocks(timegrid, mu, params)
+    weights = ((lo, hi, unit * A, unit * B) for lo, hi, A, B in blocks)
+    kernel = _FoldedKernel(weights, mu.size, timegrid.m_steps, grid.n_points)
 
     force_hat = None
     if forcing is not None:

@@ -31,7 +31,6 @@ from fraclat.lattice import (
 from fraclat.solver import (
     ModelParams,
     ParameterError,
-    SymbolTable,
     TimeGrid,
     prepare_initial,
     solve,
@@ -80,8 +79,8 @@ def test_criterion_1_ml_oracle_equivalence():
 
 def _etd_rk2_reference(params, grid, T, dt, u0):
     """Independent exponential-integrator (Cox-Matthews ETDRK2) for beta = 1."""
-    tab = SymbolTable(grid, params)
-    L = (-1j * np.fft.fftshift(tab.mu)).astype(complex)  # centred order, as b_dft
+    mu = w_eval(SymbolConfig(alpha=params.alpha), grid.freqs()) / grid.h**params.alpha
+    L = (-1j * np.fft.fftshift(mu)).astype(complex)  # centred order, as b_dft
 
     def b_dft(v):
         return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(v)))

@@ -114,6 +114,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"'{key}': not a finite number: '{bad}'"):
             parse_config(p)
 
+    @pytest.mark.parametrize(
+        "exp, base, line, message",
+        [("symbol", "experiment = symbol\n", "alphas =", "'alphas': no numbers in ''"),
+         ("ml-check", "experiment = ml-check\n", "betas = ,", "'betas': no numbers in ','"),
+         ("ml-check", "experiment = ml-check\n", "n_radii = 0",
+          "'n_radii': must be at least 1, got 0"),
+         ("continuum", SMALL_CONTINUUM.replace("h_list = 0.4, 0.2, 0.1\n", ""), "h_list = ",
+          "'h_list': no numbers in ''")],
+        ids=["alphas", "betas", "n_radii", "h_list"],
+    )
+    def test_empty_sweep_rejected(self, tmp_path, capsys, exp, base, line, message):
+        # an empty sweep would pass while checking nothing
+        p = write(tmp_path, base + line + "\n")
+        ln = base.count("\n") + 1
+        with pytest.raises(ConfigError, match=rf"run\.cfg:{ln}: bad value for {re.escape(message)}"):
+            parse_config(p)
+        assert main([exp, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert f"run.cfg:{ln}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown experiment"):
             parse_config(write(tmp_path, "experiment = frobnicate\n"))
@@ -210,10 +230,11 @@ def test_all_six_configs_committed():
 _VALUES = {
     cli._parse_float: (st.floats(allow_nan=False, allow_infinity=False), repr),
     cli._parse_float_list: (
-        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
         lambda v: ", ".join(map(repr, v)),
     ),
     int: (st.integers(-10**6, 10**6), str),
+    cli._parse_count: (st.integers(1, 10**6), str),
     cli._parse_bool: (st.booleans(), lambda v: "true" if v else "off"),
     cli._parse_initial: (st.sampled_from(cli._INITIAL_KINDS), str),
 }
@@ -386,6 +407,15 @@ width = 2.0
         assert run(cfg, out2) == 0
         for name in ("solve_report.json", "solve_data.csv", "trajectory.bin"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_bad_m_steps_named_in_error_json(self, tmp_path, capsys):
+        # m_steps parses as any integer; TimeGrid rejects 1 and names it
+        cfg = parse_config(write(tmp_path, "experiment = solve\nalpha = 1.5\nbeta = 0.85\n"
+                                           "h = 0.4\nextent = 12.8\nT = 0.2\nm_steps = 1\n"))
+        assert run(cfg, tmp_path / "out") == 1
+        record = json.loads((tmp_path / "out" / "solve_error.json").read_text())
+        assert record["message"] == "TimeGrid: m_steps must be >= 2, got 1"
+        assert "got 1" in capsys.readouterr().err
 
     def test_solve_run_writes_trajectory(self, tmp_path):
         cfg_text = """

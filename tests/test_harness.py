@@ -29,13 +29,12 @@ from fraclat.lattice import (
 from fraclat.solver import (
     ModelParams,
     SolutionTrajectory,
-    SymbolTable,
     TimeGrid,
     prepare_initial,
     solve,
 )
 from fraclat.special import ml_e_grid
-from fraclat.symbol import SymbolConfig, phi_eval
+from fraclat.symbol import SymbolConfig, phi_eval, w_eval
 
 
 def gauss(x):
@@ -119,7 +118,7 @@ class TestMassUniformity:
             grid = grid_for(12.8, e["h"])
             u0 = prepare_initial(gauss, grid, True)
             c0 = sfft.fft(u0.values)
-            mu = SymbolTable(grid, params).mu
+            mu = w_eval(SymbolConfig(alpha=params.alpha), grid.freqs()) / grid.h**params.alpha
             worst = 0.0
             for t in np.linspace(0.0, T, n_times + 1):
                 z = params.phase_unit * t**params.beta * mu.astype(complex)

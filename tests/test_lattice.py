@@ -40,10 +40,9 @@ class TestGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             LatticeGrid(h=0.0, n_points=16)
-        with pytest.raises(ValueError):
-            LatticeGrid(h=0.1, n_points=15)
-        with pytest.raises(ValueError):
-            LatticeGrid(h=0.1, n_points=4)
+        for n in (15, 4):
+            with pytest.raises(ValueError, match=f"n_points must be even and >= 8, got {n}"):
+                LatticeGrid(h=0.1, n_points=n)
         for h in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"h must be positive and finite, got {h}"):
                 LatticeGrid(h=h, n_points=16)

@@ -26,9 +26,7 @@ from fraclat.solver import (
     NonContractionError,
     ParameterError,
     SolutionTrajectory,
-    SymbolTable,
     TimeGrid,
-    apply_nonlinearity,
     prepare_initial,
     solve,
     solve_continuum_reference,
@@ -38,8 +36,9 @@ from fraclat.solver import (
     _FoldedKernel,
     _batch_nonlinearity,
     _duhamel_nodes,
-    _duhamel_weight_tables,
+    _duhamel_weight_blocks,
     _gauss_jacobi,
+    _pair_multiplier,
 )
 from fraclat.special import GRID_TOL, ml_e_grid
 from fraclat.symbol import SymbolConfig, w_eval
@@ -58,6 +57,31 @@ def chirped(x):
 
 def zeros(x):
     return np.zeros_like(np.asarray(x), dtype=complex)
+
+
+def weight_tables(tg, mus, params):
+    """The full (m_steps, len(mus)) tables A, B, joined from solve's blocks of columns."""
+    blocks = list(_duhamel_weight_blocks(tg, np.asarray(mus), params))
+    edges = [0] + [hi for _, hi, _, _ in blocks]
+    assert [lo for lo, _, _, _ in blocks] == edges[:-1] and edges[-1] == len(mus)
+    return np.hstack([A for _, _, A, _ in blocks]), np.hstack([B for _, _, _, B in blocks])
+
+
+def one_block(A, B, n_modes):
+    """A kernel built from tables A, B of shape (M, K) passed as one block."""
+    M, K = A.shape
+    return _FoldedKernel([(0, K, A, B)], K, M, n_modes)
+
+
+def mode_multiplier(grid, params, kind="lattice"):
+    """mu at every mode in FFT order, evaluated mode by mode from the symbol."""
+    xi = grid.freqs()
+    if kind == "lattice":
+        mu = w_eval(SymbolConfig(alpha=params.alpha), xi) / grid.h**params.alpha
+    else:
+        mu = (np.abs(xi) / grid.h) ** params.alpha
+    mu[0] = 0.0
+    return mu
 
 
 class TestModelParams:
@@ -141,7 +165,7 @@ class TestTimeGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(T=0.0, m_steps=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m_steps must be >= 2, got 1"):
             TimeGrid(T=1.0, m_steps=1)
         for T in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"T must be positive and finite, got {T}"):
@@ -150,7 +174,7 @@ class TestTimeGrid:
 
 def mode_weights(tg, mu, params):
     """The (A, B) columns of the weight tables for the single mode mu."""
-    A, B = _duhamel_weight_tables(tg, np.array([mu]), params)
+    A, B = weight_tables(tg, [mu], params)
     return A[:, 0], B[:, 0]
 
 
@@ -228,7 +252,7 @@ class TestDuhamelWeights:
         # the folded kernel against the O(M^2) double sum; a large G[0] makes
         # the B[n] G[0] correction visible, from n = 1 to n = M; N past two
         # mode blocks reuses the block buffer.  Modes j and N - j share a
-        # kernel row, as the +-xi pairs of a SymbolTable do, so the kernel
+        # kernel row, as the +-xi pairs of the multiplier do, so the kernel
         # has N // 2 + 1 rows for N modes.
         rng = np.random.default_rng(0)
         for M, N in ((1, 6), (2, 6), (12, 6), (13, 6), (13, 2 * _CONV_BLOCK + 4)):
@@ -239,7 +263,7 @@ class TestDuhamelWeights:
             B = rng.normal(size=(M, rows)) + 1j * rng.normal(size=(M, rows))
             G = rng.normal(size=(M + 1, N)) + 1j * rng.normal(size=(M + 1, N))
             G[0] *= 100.0
-            D = _FoldedKernel(A, B, N).convolve(G)
+            D = one_block(A, B, N).convolve(G)
             A, B = A[:, index], B[:, index]
             ref = np.zeros_like(D)
             for n in range(1, M + 1):
@@ -251,12 +275,25 @@ class TestDuhamelWeights:
                 assert np.abs(D[n] - ref[n]).max() < 1e-12 * np.abs(ref[n]).max()
             assert np.abs(D - ref).max() < 1e-12 * np.abs(ref).max()
 
+    def test_kernel_from_weight_blocks_equals_one_block(self, monkeypatch):
+        # solve hands the kernel its weights a block of pair rows at a time;
+        # the kernel is the one the joined tables give, bit for bit
+        params = ModelParams(alpha=1.5, beta=0.85)
+        tg = TimeGrid(T=0.2, m_steps=12)
+        mus = _pair_multiplier(LatticeGrid(h=0.1, n_points=256), params.alpha, "lattice")
+        monkeypatch.setattr(solver, "_ML_POINTS", 12 * 8 * 20)  # 20 rows a block
+        assert len(list(_duhamel_weight_blocks(tg, mus, params))) == 7
+        kernel = _FoldedKernel(_duhamel_weight_blocks(tg, mus, params), mus.size, 12, 256)
+        ref = one_block(*weight_tables(tg, mus, params), 256)
+        assert np.array_equal(kernel.spectrum, ref.spectrum)
+        assert np.array_equal(kernel.Bt, ref.Bt)
+
     @pytest.mark.parametrize("n", [8, 256, 516, 1024, 4096])
     def test_blocks_read_pair_rows_as_slices(self, n):
         # the blocks tile the modes in order, and each reads the rows
         # min(j, n - j) of its modes through a slice, a view of the kernel
         K = n // 2 + 1
-        kernel = _FoldedKernel(np.zeros((2, K)), np.zeros((2, K)), n)
+        kernel = one_block(np.zeros((2, K)), np.zeros((2, K)), n)
         j = np.arange(n)
         assert np.array_equal(np.concatenate([j[lo:hi] for lo, hi, _ in kernel.blocks]), j)
         for lo, hi, rows in kernel.blocks:
@@ -274,10 +311,9 @@ class TestDuhamelWeights:
         grid = LatticeGrid(h=0.05, n_points=1024)
         N = grid.n_points
         tg = TimeGrid(T=0.2, m_steps=12)
-        tab = SymbolTable(grid, params, kind=kind)
-        A, B = tab.duhamel_tables(tg)
+        A, B = weight_tables(tg, _pair_multiplier(grid, params.alpha, kind), params)
         assert A.shape == B.shape == (12, N // 2 + 1)
-        kernel = _FoldedKernel(A, B, N)
+        kernel = one_block(A, B, N)
         assert kernel.spectrum.shape == (N // 2 + 1, kernel.size)
         rng = np.random.default_rng(3)
         G = rng.normal(size=(13, N)) + 1j * rng.normal(size=(13, N))
@@ -288,21 +324,30 @@ class TestDuhamelWeights:
 
 
 class TestSymbolTable:
+    """The multiplier on the +-xi pair rows, and the tables solve builds from it."""
+
     def test_mu_nonnegative_zero_mode(self):
         grid = LatticeGrid(h=0.2, n_points=64)
         for kind in ("lattice", "continuum"):
-            tab = SymbolTable(grid, ModelParams(alpha=1.5, beta=0.85), kind=kind)
-            assert tab.mu[0] == 0.0  # FFT order: the zero mode first
-            assert np.all(tab.mu >= 0.0)
+            mu = _pair_multiplier(grid, 1.5, kind)
+            assert mu[0] == 0.0  # FFT order: the zero mode first
+            assert np.all(mu >= 0.0)
+
+    def test_unknown_kind_named(self):
+        grid = LatticeGrid(h=0.2, n_points=64)
+        with pytest.raises(ValueError, match="'spectral'"):
+            _pair_multiplier(grid, 1.5, "spectral")
+        with pytest.raises(ValueError, match="'spectral'"):
+            solve(ModelParams(alpha=1.5, beta=0.85), grid, TimeGrid(T=0.3, m_steps=4), gauss,
+                  symbol_source="spectral")
 
     def test_lattice_symbol_matches_continuum_at_low_modes(self):
         # normalized symbol: w(xi) = |xi|^alpha (1 + O(xi^{2-alpha})); at the
         # lowest resolved modes the relative gap shrinks like xi^{1/2}
         grid = LatticeGrid(h=0.05, n_points=512)
-        p = ModelParams(alpha=1.5, beta=0.85)
-        lat = SymbolTable(grid, p, kind="lattice").mu
-        cont = SymbolTable(grid, p, kind="continuum").mu
-        xi = grid.freqs()
+        lat = _pair_multiplier(grid, 1.5, "lattice")
+        cont = _pair_multiplier(grid, 1.5, "continuum")
+        xi = grid.freqs()[: lat.size]
         dev = np.abs(lat / np.where(cont == 0.0, 1.0, cont) - 1.0)
         lowest = (np.abs(xi) > 0.0) & (np.abs(xi) < 0.05)
         mid = (np.abs(xi) > 0.2) & (np.abs(xi) < 0.4)
@@ -312,33 +357,38 @@ class TestSymbolTable:
     @pytest.mark.parametrize("kind", ["lattice", "continuum"])
     def test_mu_even_in_xi(self, kind):
         # the pair layout mode j -> row min(j, n - j) needs mu even in xi and
-        # strictly increasing in |xi| up to the Nyquist mode n / 2
+        # strictly increasing in |xi| up to the Nyquist mode n / 2: the pair
+        # rows, read that way, give mu at every mode bit for bit
+        params = ModelParams(alpha=1.5, beta=0.85)
         for n in (8, 18, 256, 512, 516, 1024, 4096):
             grid = LatticeGrid(h=51.2 / n, n_points=n)
-            tab = SymbolTable(grid, ModelParams(alpha=1.5, beta=0.85), kind=kind)
-            k = np.arange(1, n // 2)
-            assert np.array_equal(tab.mu[k], tab.mu[n - k])
-            assert tab.distinct_mu.size == n // 2 + 1
-            assert np.all(np.diff(tab.distinct_mu) > 0.0)
-            assert np.array_equal(tab.distinct_mu[tab.mode_index], tab.mu)
+            mu = _pair_multiplier(grid, params.alpha, kind)
+            j = np.arange(n)
+            assert mu.size == n // 2 + 1
+            assert np.all(np.diff(mu) > 0.0)
+            assert np.array_equal(mu[np.minimum(j, n - j)], mode_multiplier(grid, params, kind))
 
     @pytest.mark.parametrize("kind", ["lattice", "continuum"])
     def test_pair_tables_match_full_mode_evaluation(self, kind):
-        from fraclat.solver import _duhamel_weight_tables
-        from fraclat.special import ml_e_grid
-
         params = ModelParams(alpha=1.5, beta=0.85)
         grid = LatticeGrid(h=0.2, n_points=128)
         tg = TimeGrid(T=0.4, m_steps=16)
-        tab = SymbolTable(grid, params, kind=kind)
-        z = params.phase_unit * np.multiply.outer(tg.times**params.beta, tab.mu)
+        mu = mode_multiplier(grid, params, kind)
+        z = params.phase_unit * np.multiply.outer(tg.times**params.beta, mu)
         full = ml_e_grid(params.beta, z.astype(complex), tol=GRID_TOL)
-        prop = tab.propagator_table(tg)
-        assert np.abs(prop - full).max() <= GRID_TOL * np.abs(full).max()
-        A_full, B_full = _duhamel_weight_tables(tg, tab.mu, params)
-        A, B = tab.duhamel_tables(tg)
-        assert A.shape == B.shape == (tg.m_steps, tab.distinct_mu.size)
-        for got, ref in ((A[:, tab.mode_index], A_full), (B[:, tab.mode_index], B_full)):
+        # solve's linear flow is its propagator table times the datum's
+        # spectrum: a table within GRID_TOL of full moves each site by at
+        # most GRID_TOL * max|full| * mean|c0|
+        traj = solve(params, grid, tg, gauss, symbol_source=kind, nonlinear=False)
+        c0 = np.fft.fft(traj.values[0])
+        ref = np.fft.ifft(full * c0, axis=-1)
+        assert np.abs(traj.values - ref).max() <= GRID_TOL * np.abs(full).max() * np.abs(c0).mean()
+        A_full, B_full = weight_tables(tg, mu, params)
+        A, B = weight_tables(tg, _pair_multiplier(grid, params.alpha, kind), params)
+        assert A.shape == B.shape == (tg.m_steps, grid.n_points // 2 + 1)
+        j = np.arange(grid.n_points)
+        index = np.minimum(j, grid.n_points - j)
+        for got, ref in ((A[:, index], A_full), (B[:, index], B_full)):
             assert np.abs(got - ref).max() <= GRID_TOL * np.abs(ref).max()
 
 
@@ -364,30 +414,25 @@ class TestPrepareInitial:
 
 
 class TestApplyNonlinearity:
+    """The Picard density, _batch_nonlinearity, on one field and on (nodes, sites)."""
+
     def test_zero(self):
-        grid = LatticeGrid(h=0.2, n_points=16)
-        z = LatticeField(grid=grid, values=np.zeros(16, dtype=complex))
-        out = apply_nonlinearity(z, ModelParams(alpha=1.5, beta=0.85))
-        assert norm_lp(out, 2) == 0.0
+        out = _batch_nonlinearity(np.zeros(16, dtype=complex), ModelParams(alpha=1.5, beta=0.85))
+        assert np.abs(out).max() == 0.0
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_constant_filtered(self, sign):
-        grid = LatticeGrid(h=0.2, n_points=16)
         c = 1.5 - 0.5j
-        u = LatticeField(grid=grid, values=np.full(16, c))
-        out = apply_nonlinearity(u, ModelParams(alpha=1.5, beta=0.85, sign=sign))
-        assert np.allclose(out.values, sign * abs(c) ** 2 * c, atol=1e-14)
+        out = _batch_nonlinearity(np.full(16, c), ModelParams(alpha=1.5, beta=0.85, sign=sign))
+        assert np.allclose(out, sign * abs(c) ** 2 * c, atol=1e-14)
 
     def test_alternating_hand_computation(self):
         # u_m = (-1)^m c; |u|^2 u = (-1)^m |c|^2 c; restriction keeps the even
         # sites (constant |c|^2 c) and the odd sites re-average to the same
-        grid = LatticeGrid(h=0.2, n_points=16)
         c = 0.8 + 0.3j
-        u = LatticeField(
-            grid=grid, values=np.array([(-1.0) ** m * c for m in range(16)])
-        )
-        out = apply_nonlinearity(u, ModelParams(alpha=1.5, beta=0.85, sign=1))
-        assert np.allclose(out.values, abs(c) ** 2 * c, atol=1e-14)
+        u = np.array([(-1.0) ** m * c for m in range(16)])
+        out = _batch_nonlinearity(u, ModelParams(alpha=1.5, beta=0.85, sign=1))
+        assert np.allclose(out, abs(c) ** 2 * c, atol=1e-14)
 
     def test_batch_matches_single(self):
         grid = LatticeGrid(h=0.2, n_points=32)
@@ -396,40 +441,32 @@ class TestApplyNonlinearity:
         U = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
         batch = _batch_nonlinearity(U, params)
         for i in range(3):
-            single = apply_nonlinearity(LatticeField(grid=grid, values=U[i]), params)
+            single = _batch_nonlinearity(U[i], params)
             pointwise = LatticeField(grid=grid, values=-np.abs(U[i]) ** 2 * U[i])
-            assert np.abs(batch[i] - single.values).max() < 1e-14
+            assert np.abs(batch[i] - single).max() < 1e-14
             assert np.abs(batch[i] - filter_pi(restrict(pointwise)).values).max() < 1e-14
 
-    def test_filter_needs_n_divisible_by_4(self):
-        # with n_points % 4 == 2 the even positions are the odd sites: refused
-        grid = LatticeGrid(h=0.4, n_points=18)
-        u = LatticeField(grid=grid, values=np.ones(18, dtype=complex))
-        with pytest.raises(GridMismatchError, match="n_points = 18"):
-            apply_nonlinearity(u, ModelParams(alpha=1.5, beta=0.85))
-
     def test_unfiltered_pointwise(self):
-        grid = LatticeGrid(h=0.2, n_points=16)
         rng = np.random.default_rng(2)
         v = rng.normal(size=16) + 1j * rng.normal(size=16)
-        u = LatticeField(grid=grid, values=v)
         params = ModelParams(alpha=1.5, beta=0.85, use_filter=False)
-        out = apply_nonlinearity(u, params)
-        assert np.allclose(out.values, np.abs(v) ** 2 * v, atol=1e-14)
+        out = _batch_nonlinearity(v, params)
+        assert np.allclose(out, np.abs(v) ** 2 * v, atol=1e-14)
 
 
 class TestLinearPropagate:
     """The propagator table, and solve(nonlinear=False) built on it."""
 
     def test_t_zero_identity(self):
+        # solve keeps node 0 as the datum: the t = 0 multiplier is exactly 1
         grid = LatticeGrid(h=0.2, n_points=64)
         params = ModelParams(alpha=1.5, beta=0.85)
-        tab = SymbolTable(grid, params)
         u0 = prepare_initial(gauss, grid, True)
-        first = tab.propagator_table(TimeGrid(T=0.3, m_steps=4))[0]
-        assert np.array_equal(first, np.ones(64))
-        out = sfft.ifft(first * sfft.fft(u0.values))
-        assert np.abs(out - u0.values).max() < 1e-13
+        z = params.phase_unit * 0.0**params.beta * _pair_multiplier(grid, params.alpha, "lattice")
+        first = ml_e_grid(params.beta, z.astype(complex), tol=GRID_TOL)
+        assert np.array_equal(first, np.ones(33))
+        traj = solve(params, grid, TimeGrid(T=0.3, m_steps=4), gauss, nonlinear=False)
+        assert np.array_equal(traj.values[0], u0.values)
 
     def test_zero_mode_invariant(self):
         grid = LatticeGrid(h=0.2, n_points=64)
@@ -441,11 +478,10 @@ class TestLinearPropagate:
     def test_beta_one_phase_rotation(self):
         grid = LatticeGrid(h=0.2, n_points=64)
         params = ModelParams(alpha=1.5, beta=1.0)
-        tab = SymbolTable(grid, params)
         t = 0.37
         traj = solve(params, grid, TimeGrid(T=t, m_steps=4), gauss, nonlinear=False)
         out = sfft.fft(traj.values[-1])
-        ref = np.exp(-1j * t * tab.mu) * sfft.fft(traj.values[0])
+        ref = np.exp(-1j * t * mode_multiplier(grid, params)) * sfft.fft(traj.values[0])
         assert np.abs(out - ref).max() < 1e-12 * np.abs(ref).max()
 
 
@@ -468,10 +504,10 @@ class TestSolve:
         grid = LatticeGrid(h=0.2, n_points=64)
         tg = TimeGrid(T=0.3, m_steps=16)
         traj = solve(params, grid, tg, gauss, nonlinear=False)
-        tab = SymbolTable(grid, params)
+        mu = mode_multiplier(grid, params)
         u0_hat = sfft.fft(prepare_initial(gauss, grid, True).values)
         for i in (3, 16):
-            z = params.phase_unit * tg.times[i] ** params.beta * tab.mu
+            z = params.phase_unit * tg.times[i] ** params.beta * mu
             ref = sfft.ifft(ml_e_grid(params.beta, z.astype(complex)) * u0_hat)
             assert np.abs(traj.values[i] - ref).max() < 1e-10
 
@@ -578,13 +614,13 @@ class TestSolve:
         # |t^{b-1} E_{b,b}(i^{-b} t^b mu)| grows like (xi/h)^{sigma-alpha}
         params = ModelParams(alpha=1.5, beta=0.85)
         grid = LatticeGrid(h=0.0125, n_points=4096)
-        tab = SymbolTable(grid, params, kind="continuum")
+        mu = mode_multiplier(grid, params, "continuum")
         t = 1.0
         xi = grid.freqs()
         sel = (np.abs(xi) / grid.h > 20.0) & (xi < 0)
         from fraclat.special import ml_ee_grid
 
-        z = params.phase_unit * (t**params.beta) * tab.mu[sel].astype(complex)
+        z = params.phase_unit * (t**params.beta) * mu[sel].astype(complex)
         mults = np.abs(t ** (params.beta - 1.0) * ml_ee_grid(params.beta, z))
         slope = np.polyfit(np.log(np.abs(xi[sel]) / grid.h), np.log(mults), 1)[0]
         assert abs(slope - (params.sigma - params.alpha)) <= 0.1
@@ -600,7 +636,7 @@ class TestContinuumReference:
 
         u0_hat = sfft.fft(traj.values[0])
         t = float(tg.times[5])
-        z = params.phase_unit * t**params.beta * SymbolTable(grid, params, "continuum").mu
+        z = params.phase_unit * t**params.beta * mode_multiplier(grid, params, "continuum")
         ref = sfft.ifft(ml_e_grid(params.beta, z.astype(complex)) * u0_hat)
         assert np.abs(traj.values[5] - ref).max() < 1e-10
 
@@ -656,7 +692,7 @@ def _site_order_reference(params, grid, tg, u0, kind, nonlinear=True, forcing=No
         mu = np.abs(xi / grid.h) ** params.alpha
     z = params.phase_unit * np.multiply.outer(tg.times**params.beta, mu).astype(complex)
     LIN = ml_e_grid(params.beta, z) * dft_rows(u0)
-    A, B = _duhamel_weight_tables(tg, mu, params)
+    A, B = weight_tables(tg, mu, params)
     filtered = params.use_filter and kind == "lattice"
 
     def density(U):
