@@ -408,15 +408,6 @@ width = 2.0
         for name in ("solve_report.json", "solve_data.csv", "trajectory.bin"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
-    def test_bad_m_steps_named_in_error_json(self, tmp_path, capsys):
-        # m_steps parses as any integer; TimeGrid rejects 1 and names it
-        cfg = parse_config(write(tmp_path, "experiment = solve\nalpha = 1.5\nbeta = 0.85\n"
-                                           "h = 0.4\nextent = 12.8\nT = 0.2\nm_steps = 1\n"))
-        assert run(cfg, tmp_path / "out") == 1
-        record = json.loads((tmp_path / "out" / "solve_error.json").read_text())
-        assert record["message"] == "TimeGrid: m_steps must be >= 2, got 1"
-        assert "got 1" in capsys.readouterr().err
-
     def test_solve_run_writes_trajectory(self, tmp_path):
         cfg_text = """
 experiment = solve
