@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from fraclat import (
-    SymbolConfig,
     find_xi0,
     find_xi1,
     normalization_constant,
@@ -25,32 +24,31 @@ from fraclat import (
 )
 
 alpha, beta = 1.5, 0.85
-cfg = SymbolConfig(alpha=alpha)
 
 print(f"=== normalization (alpha = {alpha}) ===")
 print("w(xi) = c |xi|^a - 2 sum_j (-1)^j zeta(1+a-2j) xi^(2j)/(2j)!  for |xi| < 2 pi")
-print(f"c = pi/(Gamma(1+a) sin(a pi/2)) = {normalization_constant(cfg):.10f}")
+print(f"c = pi/(Gamma(1+a) sin(a pi/2)) = {normalization_constant(alpha):.10f}")
 
 print()
 print("=== small-xi agreement with |xi|^alpha (normalized) ===")
 for xi in (0.001, 0.01, 0.1, 0.5):
-    w = w_eval(cfg, xi)
+    w = w_eval(alpha, xi)
     print(f"xi = {xi:6.3f}:  w = {w:.8e}   |xi|^a = {xi**alpha:.8e}   ratio = {w/xi**alpha:.6f}")
 
 print()
 print("=== critical points ===")
-xi0 = find_xi0(cfg)
-xi1 = find_xi1(cfg, beta)
+xi0 = find_xi0(alpha)
+xi1 = find_xi1(alpha, beta)
 print(f"xi_0 (zero of w'')                  = {xi0:.10f}   (inside (0, pi/2))")
 print(f"xi_1 (zero of phi'' at beta={beta}) = {xi1:.10f}   (inside (xi_0, pi))")
 print(f"xi_2 (zero of w' at the edge)       = {math.pi:.10f}")
-print(f"beta = 1 collapse: xi_1 -> xi_0: {find_xi1(cfg, 1.0):.10f}")
+print(f"beta = 1 collapse: xi_1 -> xi_0: {find_xi1(alpha, 1.0):.10f}")
 
 print()
 print("=== sampled table (h = 0.5) ===")
 print(f"{'xi':>6} {'w':>12} {'w_prime':>12} {'w_second':>12} {'phi_h':>12}")
 for xi in np.linspace(0.3, math.pi, 8):
     print(
-        f"{xi:6.3f} {w_eval(cfg, xi):12.6f} {w_prime(cfg, xi):12.6f} "
-        f"{w_second(cfg, xi):12.6f} {phi_eval(cfg, 0.5, xi, beta=beta):12.6f}"
+        f"{xi:6.3f} {w_eval(alpha, xi):12.6f} {w_prime(alpha, xi):12.6f} "
+        f"{w_second(alpha, xi):12.6f} {phi_eval(alpha, 0.5, xi, beta=beta):12.6f}"
     )

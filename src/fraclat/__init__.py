@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .special import MLOverflowError, ml_e, ml_ee, ml_oracle
 from .symbol import (
-    SymbolConfig,
     find_xi0,
     find_xi1,
     normalization_constant,

@@ -23,6 +23,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -44,6 +45,7 @@ from .solver import (
     TimeGrid,
     solve,
 )
+from .symbol import check_alpha, check_beta
 
 
 class ConfigError(ValueError):
@@ -72,11 +74,40 @@ def _parse_float_list(s: str) -> list[float]:
     return values
 
 
-def _parse_count(s: str) -> int:
+def _parse_alphas(s: str) -> list[float]:
+    return [check_alpha(a) for a in _parse_float_list(s)]
+
+
+def _parse_beta(s: str) -> float:
+    # the symbol's range (0, 1]; ModelParams narrows it to (1/2, 1] for the model
+    return check_beta(_parse_float(s))
+
+
+def _parse_ml_betas(s: str) -> list[float]:
+    # the range on which the Mittag-Leffler evaluators state their accuracy;
+    # below it the oracle's working precision grows like |z|^{1/beta}
+    values = _parse_float_list(s)
+    for b in values:
+        if not 0.5 < b <= 1.0:
+            raise ValueError(f"beta must be in (1/2, 1], got {b}")
+    return values
+
+
+def _parse_nonnegative(s: str) -> float:
+    v = _parse_float(s)
+    if v < 0.0:
+        raise ValueError(f"must be non-negative, got {v}")
+    return v
+
+
+def _parse_count(s: str, least: int = 1) -> int:
     n = int(s)
-    if n < 1:
-        raise ValueError(f"must be at least 1, got {n}")
+    if n < least:
+        raise ValueError(f"must be at least {least}, got {n}")
     return n
+
+
+_parse_steps = partial(_parse_count, least=2)  # a TimeGrid takes at least 2 steps
 
 
 _INITIAL_KINDS = ("gaussian", "packet")
@@ -91,7 +122,7 @@ def _parse_initial(s: str) -> str:
 _KEY_PARSERS = {
     "experiment": str,
     "alpha": _parse_float,
-    "beta": _parse_float,
+    "beta": _parse_beta,
     "p": int,
     "sign": int,
     "s": _parse_float,
@@ -101,8 +132,8 @@ _KEY_PARSERS = {
     "h_list": _parse_float_list,
     "h_ref": _parse_float,
     "T": _parse_float,
-    "m_steps": int,
-    "n_times": int,
+    "m_steps": _parse_steps,
+    "n_times": _parse_steps,
     "tol": _parse_float,
     "eps": _parse_float,
     "ratio_cap": _parse_float,
@@ -113,10 +144,10 @@ _KEY_PARSERS = {
     "center": _parse_float,
     "freq": _parse_float,
     "packet_width": _parse_float,
-    "alphas": _parse_float_list,
-    "betas": _parse_float_list,
+    "alphas": _parse_alphas,
+    "betas": _parse_ml_betas,
     "n_radii": _parse_count,
-    "r_max": _parse_float,
+    "r_max": _parse_nonnegative,
 }
 
 

@@ -45,7 +45,6 @@ from .solver import (
 )
 from .special import ml_e, ml_ee, ml_oracle
 from .symbol import (
-    SymbolConfig,
     find_xi0,
     find_xi1,
     normalization_constant,
@@ -124,10 +123,9 @@ def run_symbol_checks(alpha_list, beta: float = 0.85) -> dict:
     """
     results = []
     for alpha in alpha_list:
-        cfg = SymbolConfig(alpha=alpha)
         xs = np.linspace(1e-4, math.pi, _GRID_POINTS, endpoint=False)[1:]
-        wv = np.asarray(w_eval(cfg, xs))
-        wp = np.asarray(w_prime(cfg, xs))
+        wv = np.asarray(w_eval(alpha, xs))
+        wp = np.asarray(w_prime(alpha, xs))
 
         ratio = wv / xs**alpha
         sandwich = (float(ratio.min()), float(ratio.max()))
@@ -135,15 +133,15 @@ def run_symbol_checks(alpha_list, beta: float = 0.85) -> dict:
         monotone_wp = bool(np.all(wp > 0.0))
 
         xs2 = np.linspace(1e-3, math.pi, 2000)
-        wpp = np.asarray(w_second(cfg, xs2))
+        wpp = np.asarray(w_second(alpha, xs2))
         wpp_decreasing = bool(np.all(np.diff(wpp) < 0.0))
         sign_changes = int(np.count_nonzero(np.diff(np.sign(wpp)) != 0.0))
 
-        xi0 = find_xi0(cfg)
-        xi1 = find_xi1(cfg, beta)
+        xi0 = find_xi0(alpha)
+        xi1 = find_xi1(alpha, beta)
 
         small = np.geomspace(1e-3, 0.1, 30)
-        resid = np.abs(np.asarray(w_eval(cfg, small)) - small**alpha)
+        resid = np.abs(np.asarray(w_eval(alpha, small)) - small**alpha)
         slope = float(np.polyfit(np.log(small), np.log(resid), 1)[0])
 
         inner = xs < math.pi - 1e-6
@@ -155,15 +153,15 @@ def run_symbol_checks(alpha_list, beta: float = 0.85) -> dict:
         # step the O(d^2) truncation, not the rounding of w, sets the error
         mids = np.array([0.8, 1.3, 1.9, 2.4])
         d = 1e-4
-        fd1 = (np.asarray(w_eval(cfg, mids + d)) - np.asarray(w_eval(cfg, mids - d))) / (2 * d)
-        fd2 = (np.asarray(w_prime(cfg, mids + d)) - np.asarray(w_prime(cfg, mids - d))) / (2 * d)
-        fd_w_err = float(np.max(np.abs(fd1 - np.asarray(w_prime(cfg, mids)))))
-        fd_wp_err = float(np.max(np.abs(fd2 - np.asarray(w_second(cfg, mids)))))
+        fd1 = (np.asarray(w_eval(alpha, mids + d)) - np.asarray(w_eval(alpha, mids - d))) / (2 * d)
+        fd2 = (np.asarray(w_prime(alpha, mids + d)) - np.asarray(w_prime(alpha, mids - d))) / (2 * d)
+        fd_w_err = float(np.max(np.abs(fd1 - np.asarray(w_prime(alpha, mids)))))
+        fd_wp_err = float(np.max(np.abs(fd2 - np.asarray(w_second(alpha, mids)))))
 
         xt = np.linspace(1e-3, math.pi, _TABLE_POINTS)
         table = np.column_stack(
-            [xt, np.asarray(w_eval(cfg, xt)), np.asarray(w_prime(cfg, xt)),
-             np.asarray(w_second(cfg, xt)), phi_eval(cfg, 1.0, xt, beta)]
+            [xt, np.asarray(w_eval(alpha, xt)), np.asarray(w_prime(alpha, xt)),
+             np.asarray(w_second(alpha, xt)), phi_eval(alpha, 1.0, xt, beta)]
         )
 
         entry = {
@@ -171,7 +169,7 @@ def run_symbol_checks(alpha_list, beta: float = 0.85) -> dict:
             "beta": beta,
             "xi0": xi0,
             "xi1": xi1,
-            "c": normalization_constant(cfg),
+            "c": normalization_constant(alpha),
             "sandwich": sandwich,
             "deriv_bounds": deriv_bounds,
             "w_prime_positive": monotone_wp,

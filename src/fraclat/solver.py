@@ -57,7 +57,7 @@ from .lattice import (
     lambda_norm,
 )
 from .special import GRID_TOL, ml_e_grid, ml_ee_grid
-from .symbol import SymbolConfig, w_on_dft_grid
+from .symbol import w_on_dft_grid
 
 
 class ParameterError(ValueError):
@@ -217,7 +217,7 @@ def _pair_multiplier(grid: LatticeGrid, alpha: float, kind: str) -> np.ndarray:
     """
     K = grid.n_points // 2 + 1
     if kind == "lattice":
-        mu = w_on_dft_grid(SymbolConfig(alpha=alpha), grid.n_points)[:K] / grid.h**alpha
+        mu = w_on_dft_grid(alpha, grid.n_points)[:K] / grid.h**alpha
     elif kind == "continuum":
         mu = (np.abs(grid.freqs()[:K]) / grid.h) ** alpha
     else:

@@ -17,7 +17,10 @@ coefficients of each derivative are cached too.  Near alpha = 2 the two
 leading terms grow like 1/(2 - alpha) and cancel, so the relative error
 grows like 1e-16 / (2 - alpha).
 
-Normalized quantities divide by c, so that w(xi) = |xi|^alpha + O(xi^2).
+Every evaluation here takes alpha and is normalized: it returns the
+quantity divided by c, so that w(xi) = |xi|^alpha + O(xi^2) and the
+continuum limit compares against |xi|^alpha.  The raw series above is
+c * w_eval(alpha, xi), c = normalization_constant_closed_form(alpha).
 The phase function of the memory propagator is
 phi_h(xi) = h^{-sigma} w(xi)^{1/beta}, sigma = alpha/beta.
 """
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -40,16 +42,18 @@ class MultiplicityError(RuntimeError):
     """More sign changes detected than the phase inflection's uniqueness permits."""
 
 
-@dataclass(frozen=True)
-class SymbolConfig:
-    """Symbol evaluation parameters for one alpha."""
+def check_alpha(alpha: float) -> float:
+    """alpha itself if it lies in (1, 2); otherwise ValueError naming it (NaN included)."""
+    if not 1.0 < alpha < 2.0:
+        raise ValueError(f"alpha must be in (1, 2), got {alpha}")
+    return alpha
 
-    alpha: float
-    normalize: bool = True
 
-    def __post_init__(self) -> None:
-        if not 1.0 < self.alpha < 2.0:
-            raise ValueError(f"SymbolConfig: alpha must be in (1, 2), got {self.alpha}")
+def check_beta(beta: float) -> float:
+    """beta itself if it lies in (0, 1]; otherwise ValueError naming it (NaN included)."""
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must be in (0, 1], got {beta}")
+    return beta
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +74,9 @@ def normalization_constant_closed_form(alpha: float) -> float:
     return math.pi / (math.gamma(1.0 + alpha) * math.sin((2.0 - alpha) * math.pi / 2.0))
 
 
-def normalization_constant(cfg: SymbolConfig) -> float:
-    """The c with w(xi) = c |xi|^alpha + O(xi^2) that normalized quantities divide by."""
-    return normalization_constant_closed_form(cfg.alpha)
+def normalization_constant(alpha: float) -> float:
+    """The c with w(xi) = c |xi|^alpha + O(xi^2) that every function here divides by."""
+    return normalization_constant_closed_form(alpha)
 
 
 def _fold(x: np.ndarray) -> np.ndarray:
@@ -148,48 +152,47 @@ def _smooth_coefficients(alpha: float, k: int) -> np.ndarray:
     return b
 
 
-def _expansion(cfg: SymbolConfig, t: np.ndarray, k: int) -> np.ndarray:
-    """k-th derivative of w at t in [0, pi] (k <= 2), divided by c if normalized."""
-    a = cfg.alpha
-    c = normalization_constant(cfg)
+def _expansion(alpha: float, t: np.ndarray, k: int) -> np.ndarray:
+    """k-th derivative of w at t in [0, pi] (k <= 2), divided by c."""
+    a = check_alpha(alpha)
+    c = normalization_constant_closed_form(a)
     # d^k/dt^k maps t^a to a(a-1)..(a-k+1) t^{a-k}
     smooth = t ** (2 - k) * np.polyval(_smooth_coefficients(a, k), t * t)  # Horner in t^2
-    out = c * math.prod(a - i for i in range(k)) * t ** (a - k) + smooth
-    return out / c if cfg.normalize else out
+    return (c * math.prod(a - i for i in range(k)) * t ** (a - k) + smooth) / c
 
 
-def w_eval(cfg: SymbolConfig, xi):
-    """(Normalized) dispersion symbol w; even and 2pi-periodic."""
+def w_eval(alpha: float, xi):
+    """Normalized dispersion symbol w; even and 2pi-periodic."""
     scalar = np.isscalar(xi)
     x = np.atleast_1d(np.asarray(xi, dtype=float))
-    w = _expansion(cfg, _fold(x), 0)
+    w = _expansion(alpha, _fold(x), 0)
     return float(w[0]) if scalar else w
 
 
-def w_on_dft_grid(cfg: SymbolConfig, n_points: int) -> np.ndarray:
+def w_on_dft_grid(alpha: float, n_points: int) -> np.ndarray:
     """w at the DFT frequencies 2 pi fftfreq(M), in the index order of numpy.fft.fft."""
-    return w_eval(cfg, _TWO_PI * np.fft.fftfreq(n_points))
+    return w_eval(alpha, _TWO_PI * np.fft.fftfreq(n_points))
 
 
-def w_prime(cfg: SymbolConfig, xi):
+def w_prime(alpha: float, xi):
     """w'(xi) on (0, pi]; positive inside, 0 at pi (and 0 for xi <= 0 by convention).
 
     Beyond pi it follows the odd 2pi-periodic extension.
     """
     scalar = np.isscalar(xi)
     x = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = np.copysign(_expansion(cfg, _fold(x), 1), math.pi - np.fmod(x, _TWO_PI))
+    out = np.copysign(_expansion(alpha, _fold(x), 1), math.pi - np.fmod(x, _TWO_PI))
     out[x <= 0.0] = 0.0  # limit value at the origin for alpha > 1
     return float(out[0]) if scalar else out
 
 
-def w_second(cfg: SymbolConfig, xi):
+def w_second(alpha: float, xi):
     """w''(xi) on (0, pi]; diverges to +inf as xi -> 0+."""
     scalar = np.isscalar(xi)
     x = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.any(x <= 0.0):
         raise ValueError("w_second: xi must be positive (w'' diverges at 0)")
-    out = _expansion(cfg, _fold(x), 2)
+    out = _expansion(alpha, _fold(x), 2)
     return float(out[0]) if scalar else out
 
 
@@ -198,28 +201,12 @@ def w_second(cfg: SymbolConfig, xi):
 # ---------------------------------------------------------------------------
 
 
-def phi_eval(cfg: SymbolConfig, h: float, xi, beta: float):
+def phi_eval(alpha: float, h: float, xi, beta: float):
     """Phase phi_h(xi) = h^{-sigma} w(xi)^{1/beta} with sigma = alpha/beta."""
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"phi_eval: beta must be in (0, 1], got {beta}")
+    check_beta(beta)
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"phi_eval: h must be positive and finite, got {h}")
-    return h ** -(cfg.alpha / beta) * w_eval(cfg, xi) ** (1.0 / beta)
-
-
-def _phi_second_sign_fn(cfg: SymbolConfig, beta: float):
-    """g(xi) with the sign of phi_1''(xi): (1/beta - 1) w'^2 + w w''.
-
-    phi_1'' = w^{1/beta-2} g up to the positive factor 1/beta, so roots and
-    signs agree while the evaluation stays well-conditioned.
-    """
-
-    def g(x):
-        return (1.0 / beta - 1.0) * np.asarray(w_prime(cfg, x)) ** 2 + np.asarray(
-            w_eval(cfg, x)
-        ) * np.asarray(w_second(cfg, x))
-
-    return g
+    return h ** -(alpha / beta) * w_eval(alpha, xi) ** (1.0 / beta)
 
 
 def _bisect(fn, lo: float, hi: float, flo: float, width: float = 1e-12) -> float:
@@ -242,31 +229,42 @@ _XI1_GRID = 800
 
 
 @functools.lru_cache(maxsize=64)
-def find_xi0(cfg: SymbolConfig) -> float:
-    """Unique zero of w'' in (0, pi/2), by bisection; cached per (frozen) cfg."""
+def find_xi0(alpha: float) -> float:
+    """Unique zero of w'' in (0, pi/2), by bisection; cached per alpha."""
     lo, hi = 0.05, math.pi / 2.0
-    flo = float(w_second(cfg, lo))
+    flo = float(w_second(alpha, lo))
     while flo <= 0.0 and lo > 1e-6:
         lo *= 0.5
-        flo = float(w_second(cfg, lo))
-    fhi = float(w_second(cfg, hi))
+        flo = float(w_second(alpha, lo))
+    fhi = float(w_second(alpha, hi))
     if flo <= 0.0 or fhi >= 0.0:
         raise BracketError(
             f"w'' bracket failure on ({lo:.3g}, pi/2): w''({lo:.3g}) = {flo:.3g}, "
             f"w''(pi/2) = {fhi:.3g}"
         )
-    root = _bisect(lambda x: w_second(cfg, x), lo, hi, flo)
-    if abs(float(w_second(cfg, root))) > _XI0_RESIDUAL:
+    root = _bisect(lambda x: w_second(alpha, x), lo, hi, flo)
+    if abs(float(w_second(alpha, root))) > _XI0_RESIDUAL:
         raise BracketError(f"residual |w''({root})| too large after bisection")
     return root
 
 
-def find_xi1(cfg: SymbolConfig, beta: float) -> float:
-    """Unique zero of phi_1''(xi) in (xi0, pi); equals xi0 when beta = 1."""
-    xi0 = find_xi0(cfg)
+def find_xi1(alpha: float, beta: float) -> float:
+    """Unique zero of phi_1''(xi) in (xi0, pi); equals xi0 when beta = 1.
+
+    It is found as the zero of g = (1/beta - 1) w'^2 + w w''.  phi_1'' =
+    w^{1/beta-2} g up to the positive factor 1/beta, so roots and signs
+    agree while the evaluation stays well-conditioned.
+    """
+    check_beta(beta)
+    xi0 = find_xi0(alpha)
     if beta >= 1.0:
         return xi0  # the first summand vanishes and the equation reduces to w'' = 0
-    g = _phi_second_sign_fn(cfg, beta)
+
+    def g(x):
+        return (1.0 / beta - 1.0) * np.asarray(w_prime(alpha, x)) ** 2 + np.asarray(
+            w_eval(alpha, x)
+        ) * np.asarray(w_second(alpha, x))
+
     xs = np.linspace(xi0 + 1e-6, math.pi - 1e-9, _XI1_GRID)
     vals = np.asarray(g(xs))
     signs = np.sign(vals)

@@ -36,7 +36,7 @@ from fraclat.solver import (
     solve,
 )
 from fraclat.special import ml_e
-from fraclat.symbol import SymbolConfig, w_eval
+from fraclat.symbol import normalization_constant_closed_form, w_eval
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -79,7 +79,7 @@ def test_criterion_1_ml_oracle_equivalence():
 
 def _etd_rk2_reference(params, grid, T, dt, u0):
     """Independent exponential-integrator (Cox-Matthews ETDRK2) for beta = 1."""
-    mu = w_eval(SymbolConfig(alpha=params.alpha), grid.freqs()) / grid.h**params.alpha
+    mu = w_eval(params.alpha, grid.freqs()) / grid.h**params.alpha
     L = (-1j * np.fft.fftshift(mu)).astype(complex)  # centred order, as b_dft
 
     def b_dft(v):
@@ -184,8 +184,8 @@ def test_criterion_3_symbol_properties():
 
 
 def test_criterion_4_w_pi_closed_form():
-    cfg = SymbolConfig(alpha=1.5, normalize=False)
-    got = w_eval(cfg, math.pi)
+    # w_eval is normalized by c; c times it is the raw cosine series
+    got = normalization_constant_closed_form(1.5) * w_eval(1.5, math.pi)
     with mp.workdps(40):
         ref = float(4 * (1 - mp.mpf(2) ** mp.mpf("-2.5")) * mp.zeta(mp.mpf("2.5")))
     rel = abs(got - ref) / ref

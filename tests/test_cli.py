@@ -61,6 +61,17 @@ width = 2.0
 """
 
 
+def assert_rejected_at_line(tmp_path, capsys, exp, base, line, message):
+    """base plus line fails to parse, naming that line, and main exits 2 before any output."""
+    p = write(tmp_path, base + line + "\n")
+    ln = base.count("\n") + 1
+    with pytest.raises(ConfigError, match=rf"run\.cfg:{ln}: bad value for {re.escape(message)}"):
+        parse_config(p)
+    assert main([exp, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert f"run.cfg:{ln}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestParseConfig:
     def test_minimal_valid(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL_MASS))
@@ -126,13 +137,33 @@ class TestParseConfig:
     )
     def test_empty_sweep_rejected(self, tmp_path, capsys, exp, base, line, message):
         # an empty sweep would pass while checking nothing
-        p = write(tmp_path, base + line + "\n")
-        ln = base.count("\n") + 1
-        with pytest.raises(ConfigError, match=rf"run\.cfg:{ln}: bad value for {re.escape(message)}"):
-            parse_config(p)
-        assert main([exp, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
-        assert f"run.cfg:{ln}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert_rejected_at_line(tmp_path, capsys, exp, base, line, message)
+
+    @pytest.mark.parametrize(
+        "exp, base, line, message",
+        [("symbol", "experiment = symbol\n", "alphas = 1.5, 2.5",
+          "'alphas': alpha must be in (1, 2), got 2.5"),
+         ("symbol", MINIMAL_SYMBOL.replace("beta = 0.85\n", ""), "beta = 1.5",
+          "'beta': beta must be in (0, 1], got 1.5"),
+         ("symbol", MINIMAL_SYMBOL.replace("beta = 0.85\n", ""), "beta = -0.2",
+          "'beta': beta must be in (0, 1], got -0.2"),
+         ("ml-check", "experiment = ml-check\nn_radii = 3\n", "betas = 0.6, 0.3",
+          "'betas': beta must be in (1/2, 1], got 0.3"),
+         ("ml-check", "experiment = ml-check\n", "betas = 1.5",
+          "'betas': beta must be in (1/2, 1], got 1.5"),
+         ("ml-check", "experiment = ml-check\n", "r_max = -3",
+          "'r_max': must be non-negative, got -3.0"),
+         ("mass", MINIMAL_MASS.replace("n_times = 8\n", ""), "n_times = 1",
+          "'n_times': must be at least 2, got 1"),
+         ("solve", "experiment = solve\nalpha = 1.5\nbeta = 0.85\nh = 0.4\nT = 0.2\n",
+          "m_steps = 1", "'m_steps': must be at least 2, got 1")],
+        ids=["alphas", "beta-high", "beta-negative", "betas-low", "betas-high", "r_max",
+             "n_times", "m_steps"],
+    )
+    def test_out_of_range_rejected(self, tmp_path, capsys, exp, base, line, message):
+        # the run would fail late (exit 1), hang in the oracle or check
+        # outside the range its bounds hold on
+        assert_rejected_at_line(tmp_path, capsys, exp, base, line, message)
 
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown experiment"):
@@ -235,6 +266,17 @@ _VALUES = {
     ),
     int: (st.integers(-10**6, 10**6), str),
     cli._parse_count: (st.integers(1, 10**6), str),
+    cli._parse_steps: (st.integers(2, 10**6), str),
+    cli._parse_nonnegative: (st.floats(min_value=0.0, allow_infinity=False), repr),
+    cli._parse_beta: (st.floats(0.0, 1.0, exclude_min=True), repr),
+    cli._parse_alphas: (
+        st.lists(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True), min_size=1, max_size=4),
+        lambda v: ", ".join(map(repr, v)),
+    ),
+    cli._parse_ml_betas: (
+        st.lists(st.floats(0.5, 1.0, exclude_min=True), min_size=1, max_size=4),
+        lambda v: ", ".join(map(repr, v)),
+    ),
     cli._parse_bool: (st.booleans(), lambda v: "true" if v else "off"),
     cli._parse_initial: (st.sampled_from(cli._INITIAL_KINDS), str),
 }
@@ -249,14 +291,20 @@ _ADMISSIBLE = {"alpha": 1.5, "beta": 0.85}
 _COUPLED = ("alpha", "beta", "p", "sign", "s")
 
 
+def free_keys(exp):
+    """The keys of exp that a drawn config may set to any value their parser accepts."""
+    keys = cli.EXPERIMENTS[exp].keys
+    return [k for k in keys if "alpha" not in keys or k not in _COUPLED]
+
+
 @st.composite
 def config_files(draw):
     """(lines, values): the lines of a parseable file and the dict it must parse to."""
     exp = draw(st.sampled_from(list(cli.EXPERIMENTS)))
     keys = cli.EXPERIMENTS[exp].keys
     values = {"experiment": exp, **(_ADMISSIBLE if "alpha" in keys else {})}
-    free = [k for k in keys if k not in _COUPLED]
-    required = [k for k in cli.EXPERIMENTS[exp].required if k not in _COUPLED]
+    free = free_keys(exp)
+    required = [k for k in cli.EXPERIMENTS[exp].required if k in free]
     drawn = draw(st.lists(st.sampled_from(free), unique=True, max_size=8))
     for key in required + [k for k in drawn if k not in required]:
         strategy, _ = _VALUES[cli._KEY_PARSERS[key]]
@@ -281,8 +329,9 @@ def _parse_lines(lines):
 
 class TestConfigProperties:
     def test_drawn_keys_cover_every_parser_type(self):
-        free = {k for e in cli.EXPERIMENTS.values() for k in e.keys if k not in _COUPLED}
-        assert {cli._KEY_PARSERS[k] for k in free} == set(_VALUES)
+        free = {k for exp in cli.EXPERIMENTS for k in free_keys(exp)}
+        # int parses only p and sign, which are coupled; unread-key draws use it
+        assert {cli._KEY_PARSERS[k] for k in free} | {int} == set(_VALUES)
 
     @settings(max_examples=80, deadline=None)
     @given(config_files())

@@ -34,7 +34,7 @@ from fraclat.solver import (
     solve,
 )
 from fraclat.special import ml_e_grid
-from fraclat.symbol import SymbolConfig, phi_eval, w_eval
+from fraclat.symbol import phi_eval, w_eval
 
 
 def gauss(x):
@@ -118,7 +118,7 @@ class TestMassUniformity:
             grid = grid_for(12.8, e["h"])
             u0 = prepare_initial(gauss, grid, True)
             c0 = sfft.fft(u0.values)
-            mu = w_eval(SymbolConfig(alpha=params.alpha), grid.freqs()) / grid.h**params.alpha
+            mu = w_eval(params.alpha, grid.freqs()) / grid.h**params.alpha
             worst = 0.0
             for t in np.linspace(0.0, T, n_times + 1):
                 z = params.phase_unit * t**params.beta * mu.astype(complex)
@@ -167,7 +167,7 @@ class TestSmoothing:
         tg = TimeGrid(T=T, m_steps=n_times)
         for e in rep["entries"]:
             grid = grid_for(25.6, e["h"])
-            phi = phi_eval(SymbolConfig(alpha=params.alpha), grid.h, grid.freqs(), params.beta)
+            phi = phi_eval(params.alpha, grid.h, grid.freqs(), params.beta)
             raw = nyquist_packet(grid, e["packet_width"])
             filt = filter_pi(nyquist_packet(grid.coarse(), e["packet_width"]))
             for tag, u0 in (("unfiltered", raw), ("filtered", filt)):

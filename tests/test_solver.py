@@ -41,7 +41,7 @@ from fraclat.solver import (
     _pair_multiplier,
 )
 from fraclat.special import GRID_TOL, ml_e_grid
-from fraclat.symbol import SymbolConfig, w_eval
+from fraclat.symbol import w_eval
 
 
 def gauss(x):
@@ -77,7 +77,7 @@ def mode_multiplier(grid, params, kind="lattice"):
     """mu at every mode in FFT order, evaluated mode by mode from the symbol."""
     xi = grid.freqs()
     if kind == "lattice":
-        mu = w_eval(SymbolConfig(alpha=params.alpha), xi) / grid.h**params.alpha
+        mu = w_eval(params.alpha, xi) / grid.h**params.alpha
     else:
         mu = (np.abs(xi) / grid.h) ** params.alpha
     mu[0] = 0.0
@@ -689,7 +689,7 @@ def _site_order_reference(params, grid, tg, u0, kind, nonlinear=True, forcing=No
     # mu from the symbol itself, at the centred frequencies xi_m = 2 pi m/M
     xi = 2.0 * math.pi * np.arange(-(grid.n_points // 2), grid.n_points // 2) / grid.n_points
     if kind == "lattice":
-        mu = w_eval(SymbolConfig(alpha=params.alpha), xi) / grid.h**params.alpha
+        mu = w_eval(params.alpha, xi) / grid.h**params.alpha
     else:
         mu = np.abs(xi / grid.h) ** params.alpha
     z = params.phase_unit * np.multiply.outer(tg.times**params.beta, mu).astype(complex)
