@@ -11,7 +11,9 @@ run writes ``<experiment>_report.json`` (machine-readable pass/fail plus
 values), ``<experiment>_data.csv`` (raw series) and ``manifest.json``
 (config echo, versions, timings).  Exit code 0 means every assertion of
 the invoked report passed.  A config fault, a missing required key
-included, exits 2 before any output is written.
+included, exits 2 before any output is written; a run that fails for a
+valid config (a Picard iteration that stops contracting) exits 1 and
+writes ``<experiment>_error.json``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ from typing import NamedTuple
 
 from . import __version__
 from .harness import (
+    DEFAULT_EXTENT,
+    ML_BETAS,
+    ML_R_MAX,
+    check_h_ref,
+    check_oracle_budget,
     gaussian_profile,
     grid_for,
     run_continuum_study,
@@ -45,6 +52,7 @@ from .solver import (
     TimeGrid,
     solve,
 )
+from .special import MLOverflowError
 from .symbol import check_alpha, check_beta
 
 
@@ -64,6 +72,13 @@ def _parse_float(s: str) -> float:
     v = float(s)
     if not math.isfinite(v):
         raise ValueError(f"not a finite number: {s!r}")
+    return v
+
+
+def _parse_positive(s: str) -> float:
+    v = _parse_float(s)
+    if not v > 0.0:
+        raise ValueError(f"must be positive, got {v}")
     return v
 
 
@@ -127,11 +142,11 @@ _KEY_PARSERS = {
     "sign": int,
     "s": _parse_float,
     "use_filter": _parse_bool,
-    "extent": _parse_float,
+    "extent": _parse_positive,
     "h": _parse_float,
     "h_list": _parse_float_list,
     "h_ref": _parse_float,
-    "T": _parse_float,
+    "T": _parse_positive,
     "m_steps": _parse_steps,
     "n_times": _parse_steps,
     "tol": _parse_float,
@@ -140,10 +155,10 @@ _KEY_PARSERS = {
     "linear_only": _parse_bool,
     "initial": _parse_initial,
     "amplitude": _parse_float,
-    "width": _parse_float,
+    "width": _parse_positive,
     "center": _parse_float,
     "freq": _parse_float,
-    "packet_width": _parse_float,
+    "packet_width": _parse_positive,
     "alphas": _parse_alphas,
     "betas": _parse_ml_betas,
     "n_radii": _parse_count,
@@ -230,7 +245,7 @@ def _run_continuum(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
 
 
 def _run_solve(cfg: RunConfig, out_dir: Path, workers: int) -> dict:
-    grid = grid_for(cfg.get("extent", 51.2), cfg.raw["h"])
+    grid = grid_for(cfg.get("extent", DEFAULT_EXTENT), cfg.raw["h"])
     tg = TimeGrid(T=cfg.raw["T"], m_steps=cfg.get("m_steps", 128))
     traj = solve(cfg.params, grid, tg, _initial_profile(cfg), **cfg.present("tol"))
     snapshots = [(float(t), traj.snapshot(i)) for i, t in enumerate(traj.times)]
@@ -269,6 +284,52 @@ EXPERIMENTS = {
 }
 
 
+def _check_run(cfg: RunConfig, path: Path, line_of: dict) -> None:
+    """Reject at parse time the values that would fail or stall the run.
+
+    Every lattice the run builds is built here: each mesh of h, h_list and
+    h_ref must divide extent into an even number (>= 8) of sites, h_list
+    may not repeat a mesh, and h_ref must be at most min(h_list)/4.  The
+    lattices of h and h_list must also hold the filter's 2h lattice
+    (n_points % 4 == 0) when the filter is on, and always under smoothing,
+    whose filtered packet is built there.  ml-check's oracle must fit its
+    digit budget at the smallest beta and r_max.  The ConfigError names the
+    line of the key at fault.
+    """
+    raw = cfg.raw
+
+    def bad(key: str, message: str) -> ConfigError:
+        return ConfigError(f"{path}:{line_of[key]}: bad value for {key!r}: {message}")
+
+    if cfg.experiment == "ml-check":
+        try:
+            check_oracle_budget(raw.get("betas", ML_BETAS), raw.get("r_max", ML_R_MAX))
+        except ValueError as exc:
+            raise bad("r_max" if "r_max" in raw else "betas", str(exc)) from exc
+    if cfg.params is None:
+        return
+    extent = raw.get("extent", DEFAULT_EXTENT)
+    quarter = cfg.experiment == "smoothing" or cfg.params.use_filter
+    for key in ("h", "h_list", "h_ref"):
+        if key not in raw:
+            continue
+        for h in raw[key] if key == "h_list" else [raw[key]]:
+            try:
+                n = grid_for(extent, h).n_points
+            except ValueError as exc:
+                raise bad(key, str(exc)) from exc
+            if quarter and key != "h_ref" and n % 4:
+                raise bad(key, f"extent {extent:g} / h = {h:g} gives {n} sites; the filter's "
+                               f"2h lattice needs a multiple of 4")
+    if len(set(raw.get("h_list", []))) < len(raw.get("h_list", [])):
+        raise bad("h_list", f"repeats a mesh: {raw['h_list']}")
+    if "h_ref" in raw:
+        try:
+            check_h_ref(raw["h_list"], raw["h_ref"])
+        except ValueError as exc:
+            raise bad("h_ref", str(exc)) from exc
+
+
 def parse_config(path, experiment: str | None = None) -> RunConfig:
     """Parse and validate a key = value config file.
 
@@ -277,7 +338,8 @@ def parse_config(path, experiment: str | None = None) -> RunConfig:
     required key the file leaves out is rejected with the file's path.
     Model parameters are validated here so a bad file fails before any
     computation starts, with the violated admissibility condition quoted
-    in the message.
+    in the message, and so are the lattices and the oracle's precision
+    (_check_run).
     """
     path = Path(path)
     if not path.exists():
@@ -333,6 +395,7 @@ def parse_config(path, experiment: str | None = None) -> RunConfig:
             cfg.params = ModelParams(**cfg.present(*_MODEL))
         except ParameterError as exc:
             raise ConfigError(f"invalid model parameters: {exc}") from exc
+    _check_run(cfg, path, line_of)
     return cfg
 
 
@@ -345,7 +408,7 @@ def run(cfg: RunConfig, out_dir, workers: int = 1) -> int:
     stem = exp.replace("-", "_")
     try:
         report = EXPERIMENTS[exp].runner(cfg, out_dir, workers)
-    except (NonContractionError, ParameterError, ConfigError, ValueError) as exc:
+    except (NonContractionError, MLOverflowError) as exc:
         record = {"experiment": exp, "error": type(exc).__name__, "message": str(exc)}
         (out_dir / f"{stem}_error.json").write_text(
             json.dumps(record, indent=2, sort_keys=True) + "\n"

@@ -43,7 +43,7 @@ from .solver import (
     solve,
     solve_continuum_reference,
 )
-from .special import ml_e, ml_ee, ml_oracle
+from .special import _series_dps, ml_e, ml_ee, ml_oracle
 from .symbol import (
     find_xi0,
     find_xi1,
@@ -201,6 +201,10 @@ def run_symbol_checks(alpha_list, beta: float = 0.85) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# the extent of every lattice experiment whose config leaves it out
+DEFAULT_EXTENT = 51.2
+
+
 def grid_for(extent: float, h: float) -> LatticeGrid:
     """The lattice of mesh h spanning the given extent, which h must divide."""
     for name, value in (("extent", extent), ("h", h)):
@@ -220,7 +224,7 @@ def run_mass_uniformity(
     params: ModelParams,
     h_list,
     f,
-    extent: float = 51.2,
+    extent: float = DEFAULT_EXTENT,
     T: float = 1.0,
     n_times: int = 96,
     workers: int = 1,
@@ -262,7 +266,7 @@ _MIN_SPECTRAL_MASS = 0.95
 def run_smoothing_experiment(
     params: ModelParams,
     h_list,
-    extent: float = 51.2,
+    extent: float = DEFAULT_EXTENT,
     T: float = 1.0,
     n_times: int = 64,
     eps: float = 0.01,
@@ -348,6 +352,12 @@ def _trajectory_errors(
     return rep.eta2, err_l2, rep.lam
 
 
+def check_h_ref(h_list, h_ref: float) -> None:
+    """The reference mesh must be at most a quarter of the finest study mesh."""
+    if h_ref > min(h_list) / 4.0 + 1e-12:
+        raise ValueError(f"h_ref must be at most min(h_list)/4 = {min(h_list) / 4.0:g}, got {h_ref}")
+
+
 # horizon shrinks (T -> 0.6 T each) before the continuum study gives up
 _MAX_SHRINK = 4
 
@@ -357,7 +367,7 @@ def run_continuum_study(
     h_list,
     h_ref: float,
     f,
-    extent: float = 51.2,
+    extent: float = DEFAULT_EXTENT,
     T: float = 0.4,
     m_steps: int = 256,
     linear_only: bool = False,
@@ -373,8 +383,7 @@ def run_continuum_study(
     data shrinks.
     """
     h_list = sorted(h_list, reverse=True)
-    if h_ref > min(h_list) / 4.0 + 1e-12:
-        raise ValueError("h_ref must be at most min(h_list)/4")
+    check_h_ref(h_list, h_ref)
 
     T_used = T
     for _attempt in range(_MAX_SHRINK + 1):
@@ -454,14 +463,40 @@ def run_continuum_study(
 # the oracle's working digits and the largest relative error that passes
 _ORACLE_DIGITS = 100
 _ML_TOL_REQUIRED = 1e-9
+# run_ml_check's defaults, which parse_config also holds to the digit budget
+ML_BETAS = (0.6, 0.75, 0.8, 0.9)
+ML_R_MAX = 50.0
+# most working digits an ml-check oracle call may take.  Its costliest call,
+# the smallest beta at r_max, takes 471 digits on the committed config at
+# beta = 0.598 (the benchmark moves each beta by up to 0.002) and 1201 at
+# beta = 0.6, r_max = 100, where two radii ran for 120 s.  On a 2-core box
+# the first point, which builds the Gamma table, took 7 s at 471 digits and
+# 11 s at 610.
+ORACLE_DIGIT_BUDGET = 600
+
+
+def check_oracle_budget(betas, r_max: float) -> None:
+    """The oracle's precision at the smallest beta and r_max must fit the digit budget.
+
+    The precision grows like r_max^{1/beta}/ln 10 digits (_series_dps), and
+    the oracle's cost faster still.
+    """
+    beta = min(betas)
+    digits = _series_dps(beta, r_max, _ORACLE_DIGITS)
+    if digits > ORACLE_DIGIT_BUDGET:
+        raise ValueError(
+            f"the oracle would need {digits} digits at beta = {beta:g}, r_max = {r_max:g}, "
+            f"over the budget of {ORACLE_DIGIT_BUDGET}; lower r_max or raise beta"
+        )
 
 
 def run_ml_check(
-    betas=(0.6, 0.75, 0.8, 0.9),
+    betas=ML_BETAS,
     n_radii: int = 50,
-    r_max: float = 50.0,
+    r_max: float = ML_R_MAX,
 ) -> dict:
     """Sector-ray comparison of the fast evaluators against the series oracle."""
+    check_oracle_budget(betas, r_max)
     results = []
     for beta in betas:
         worst_e = worst_ee = 0.0

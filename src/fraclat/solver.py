@@ -26,9 +26,10 @@ kernel keeps its K rows.
 The fixed point is produced by Picard iteration over the whole time
 interval, mirroring the contraction construction behind the
 well-posedness theory; the residual is measured in the contraction norm
-Lambda_T.  An iterate that stops being finite raises NonContractionError
-like a growing residual does.  The continuum reference solver is the
-identical pipeline with the multiplier |xi|^alpha and no filtering.
+Lambda_T.  An iterate or a norm that stops being finite raises
+NonContractionError like a growing residual does.  The continuum
+reference solver is the identical pipeline with the multiplier
+|xi|^alpha and no filtering.
 
 Sites stay in storage order and modes in the FFT order of the lattice
 module throughout, so no sweep shifts anything.  The filter acts on the
@@ -260,9 +261,9 @@ def _duhamel_nodes(timegrid: TimeGrid, beta: float, n_nodes: int = 8):
     return taus, wfac, phi_a
 
 
-# points per ml_ee_grid call in _duhamel_weight_blocks: z and the
-# evaluator's temporaries take about 105 bytes a point, so a call holds
-# under 30 MB
+# points per ml_ee_grid call in _duhamel_weight_blocks: the radii and the
+# evaluator's temporaries take about 74 bytes a point, so a call holds
+# under 20 MB
 _ML_POINTS = 1 << 18
 
 
@@ -282,12 +283,11 @@ def _duhamel_weight_blocks(timegrid: TimeGrid, mus: np.ndarray, params: ModelPar
     wa = wfac * phi_a
     wb = wfac * (1.0 - phi_a)
     tb = taus**beta
-    unit = params.phase_unit
     chunk = max(1, _ML_POINTS // (M * n_nodes))
     for lo in range(0, K, chunk):
         hi = min(lo + chunk, K)
-        z = unit * tb[:, :, None] * mus[None, None, lo:hi]
-        ek = ml_ee_grid(beta, z.reshape(M * n_nodes, -1), tol=GRID_TOL).reshape(M, n_nodes, hi - lo)
+        r = tb[:, :, None] * mus[None, None, lo:hi]
+        ek = ml_ee_grid(beta, r.reshape(M * n_nodes, -1), tol=GRID_TOL).reshape(M, n_nodes, hi - lo)
         yield lo, hi, np.einsum("li,lik->lk", wa, ek), np.einsum("li,lik->lk", wb, ek)
 
 
@@ -410,8 +410,9 @@ def solve(
     Raises ValueError for an unknown symbol_source or an initial field that
     is not finite, GridMismatchError for a filtered nonlinear solve whose
     n_points is not divisible by 4, and NonContractionError when an iterate
-    stops being finite or residuals fail to decrease on three consecutive
-    sweeps: the signal that T exceeds the contraction horizon.
+    or its Lambda_T norm stops being finite or residuals fail to decrease
+    on three consecutive sweeps: the signal that T exceeds the contraction
+    horizon.
     """
     # the continuum reference carries no lattice filter, in its datum or
     # its nonlinearity
@@ -431,13 +432,14 @@ def solve(
     if nonlinear and run_params.use_filter:
         grid.coarse()  # the filter's sub-lattice: n_points % 4 == 0
 
-    # E_beta(i^{-beta} t^beta mu), evaluated once per +-xi pair and gathered
-    # to every mode; take, unlike fancy indexing, keeps the gather row-major
+    # E_beta(i^{-beta} t^beta mu), evaluated once per +-xi pair from the
+    # radii t^beta mu and gathered to every mode; take, unlike fancy
+    # indexing, keeps the gather row-major
     mu = _pair_multiplier(grid, params.alpha, symbol_source)
-    z = params.phase_unit * np.multiply.outer(timegrid.times**params.beta, mu).astype(np.complex128)
+    r = np.multiply.outer(timegrid.times**params.beta, mu)
     j = np.arange(grid.n_points)
-    LIN = ml_e_grid(params.beta, z, tol=GRID_TOL).take(np.minimum(j, grid.n_points - j), axis=-1)
-    del z  # else it stays alive through every Picard sweep
+    LIN = ml_e_grid(params.beta, r, tol=GRID_TOL).take(np.minimum(j, grid.n_points - j), axis=-1)
+    del r  # else it stays alive through every Picard sweep
     LIN *= np.fft.fft(u0.values)
     # the linear flow is the first iterate; the first sweep turns it into
     # the step, which the next rebinding of U frees
@@ -494,6 +496,13 @@ def solve(
             first_norm = lambda_norm(
                 SolutionTrajectory(timegrid, grid, U_new), params, spectrum=U_new_hat
             ).lam
+        # an overflowed norm would pass the stop test below as inf <= inf
+        if not (math.isfinite(res) and math.isfinite(first_norm)):
+            raise NonContractionError(
+                f"Picard sweep {sweep} overflowed the Lambda_T norm (residual {res:.3e}, "
+                f"first iterate {first_norm:.3e}); shrink the data or the horizon T = {timegrid.T:g}",
+                residuals,
+            )
         U, U_hat = U_new, U_new_hat
         if forcing is not None and not nonlinear:
             break  # u-independent source: fixed point after one sweep

@@ -10,25 +10,33 @@ on the ray arg z = -b*pi/2 (branch convention i^{-b} = exp(-i*b*pi/2)),
 where both functions stay uniformly bounded, so the evaluation only has
 to be trustworthy on the closed sector |arg z| <= b*pi/2.
 
-One vectorised evaluator, ``_ml_grid``, serves every caller.  For a
-relative tolerance tol it picks a route per point from rho = |z|^{1/b}:
+One vectorised evaluator, ``_ml_grid(b, g, r, theta, tol)``, serves every
+caller.  It takes real radii r >= 0 and one angle theta, the points
+z = r e^{i theta}, and for a relative tolerance tol it picks a route per
+point from rho = r^{1/b}:
 
-* rho < ln(tol/1e-16): the power series by Horner's rule in double
-  precision; its partial sums peak near e^rho, so rounding costs about
-  1e-16 e^rho;
+* rho < ln(tol/1e-16): the power series by Horner's rule in the real r,
+  with coefficients e^{ik theta}/Gamma(b*k + g); its partial sums peak
+  near e^rho, so rounding costs about 1e-16 e^rho;
 * rho >= ln(1/tol): the large-|z| expansion (1/b) z^{(1-g)/b} exp(z^{1/b})
   minus the algebraic series z^{-k}/Gamma(g - b*k), whose smallest term is
-  about e^{-rho};
+  about e^{-rho}.  The lead takes ln r and real exp, cos and sin; the
+  series runs Horner in the real 1/r with coefficients
+  e^{-ik theta}/Gamma(g - b*k);
 * in the band between: the Bromwich integral on a parabolic contour, with
-  the pole z^{1/b} subtracted and its residue added back.
+  the pole z^{1/b} subtracted and its residue added back, at the complex
+  points rebuilt from r and theta.
 
-The band is empty for tol >= 1e-8.  So the solver's tables
-(``ml_e_grid``/``ml_ee_grid`` at ``GRID_TOL``) use series and asymptotics
-only, while ``ml_e``/``ml_ee`` are one-point calls at 1e-12 that use all
-three.  Series and asymptotic truncation orders follow from each point's
-own |z| through a few scalar thresholds per (b, g, tol); the points are
-sorted by route and order once, and each branch is summed by Horner's
-rule, so a point pays for its own order, not for the worst one.
+The band is empty for tol >= 1e-8.  So the solver's tables use series and
+asymptotics only: ``ml_e_grid``/``ml_ee_grid`` evaluate at ``GRID_TOL`` on
+the propagator ray theta = -b*pi/2 from the radii t^b mu, which the solver
+stores as real arrays.  ``ml_e``/``ml_ee`` are one-point calls at 1e-12 at
+(|z|, arg z) that use all three routes.  Series and asymptotic truncation
+orders follow from each point's own r, one searchsorted into a cached table
+of breakpoints per (b, g, tol); the points are sorted by route and order
+once, and each branch is summed by Horner's rule on the real and imaginary
+parts as two rows of one real array, so a point pays for its own order,
+not for the worst one.
 
 ``ml_oracle`` sums the series in arbitrary precision: fixed-point Python
 integers, with mpmath only for its cached reciprocal-Gamma coefficients.
@@ -322,50 +330,109 @@ def _asymp_plan(beta: float, gam: float, tol: float) -> tuple[np.ndarray, np.nda
     return _frozen(coef, rising, settled[::-1])  # ascending: k = 59..1
 
 
+def _order_rules(beta: float, gam: float, tol: float, r: np.ndarray) -> np.ndarray:
+    """The key of _grid_orders at each radius r, from the scalar thresholds of the plans."""
+    r_series, r_asymp = _route_radii(beta, tol)
+    scoef, sradii = _series_plan(beta, gam, tol)
+    _, rising, settled = _asymp_plan(beta, gam, tol)
+    nser = scoef.size
+    key = np.full(r.shape, nser + _ASYM_TERMS + 1, dtype=np.int16)
+    small = r < r_series
+    key[small] = np.minimum(9 + np.searchsorted(sradii, r[small], side="right"), nser - 1)
+    big = r >= r_asymp
+    past_min = 1 + np.searchsorted(rising, r[big], side="right")
+    unsettled = 1 + settled.size - np.searchsorted(settled, r[big], side="left")
+    key[big] = nser + np.minimum(past_min, unsettled)
+    return key
+
+
+@functools.lru_cache(maxsize=64)
+def _order_table(beta: float, gam: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, keys): radius r has key keys[searchsorted(edges, r, side="right")].
+
+    The key is a step function of r that changes only at the route radii and
+    the plans' thresholds.  The "settled" count changes just past its
+    thresholds, so those edges sit one double above them.  keys[i] is the
+    key at edges[i-1], keys[0] at r = 0.  Cached per (beta, gam, tol); the
+    arrays are shared, so they are read-only.
+    """
+    _, rising, settled = _asymp_plan(beta, gam, tol)
+    # Python's sort: np.unique imports numpy.ma and np.sort pages in its SIMD
+    # code, 1 MB and 0.25 MB resident.  A repeated edge is harmless, since
+    # searchsorted steps past both copies
+    edges = np.array(sorted(np.concatenate((
+        _route_radii(beta, tol), _series_plan(beta, gam, tol)[1], rising, np.nextafter(settled, np.inf)
+    ))))
+    return _frozen(edges, _order_rules(beta, gam, tol, np.concatenate(([0.0], edges))))
+
+
 def _grid_orders(
-    beta: float, gam: float, tol: float, absz: np.ndarray
+    beta: float, gam: float, tol: float, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-point routes and truncation orders of _ml_grid, with the coefficients they index.
 
     Returns (key, series_coef, asym_coef).  key (int16) is a point's series
-    order N for rho = |z|^{1/beta} below min(ln(tol/_EPS), ln(1/tol)),
+    order N for rho = r^{1/beta} below min(ln(tol/_EPS), ln(1/tol)),
     len(series_coef) + K, K its asymptotic order, for rho >= ln(1/tol), and
     len(series_coef) + 60, past every asymptotic key, in the contour band
     between.  So sorting by key groups the points by route, then by order.
+    One searchsorted into _order_table gives every key.
     """
-    r_series, r_asymp = _route_radii(beta, tol)
-    scoef, sradii = _series_plan(beta, gam, tol)
-    acoef, rising, settled = _asymp_plan(beta, gam, tol)
-    key = np.full(absz.shape, scoef.size + _ASYM_TERMS + 1, dtype=np.int16)
-    small = absz < r_series
-    key[small] = np.minimum(9 + np.searchsorted(sradii, absz[small], side="right"), scoef.size - 1)
-    big = absz >= r_asymp
-    absb = absz[big]
-    past_min = 1 + np.searchsorted(rising, absb, side="right")
-    unsettled = 1 + settled.size - np.searchsorted(settled, absb, side="left")
-    key[big] = scoef.size + np.minimum(past_min, unsettled)
-    return key, scoef, acoef
+    edges, keys = _order_table(beta, gam, tol)
+    key = keys[np.searchsorted(edges, r, side="right")]
+    return key, _series_plan(beta, gam, tol)[0], _asymp_plan(beta, gam, tol)[0]
 
 
-def _asymp_sum(beta: float, gam: float, zb: np.ndarray,
-               coef: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """(1/b) z^{(1-g)/b} e^{z^{1/b}} - sum_{k=1..K} coef[k] z^{-k} on points sorted by K.
+def _rotated(coef: np.ndarray, theta: float) -> np.ndarray:
+    """Real and imaginary parts, shape (2, n), of coef[k] e^{ik theta}.
 
-    start[k] (k = 0..59) is the first position with order >= k; Horner in
-    1/z runs each term over that suffix only.
+    k theta is taken as k theta_hi + k (theta - theta_hi), theta_hi being
+    theta on 24 bits, so each factor is good to an ulp.  A rounded k theta
+    errs by up to k ulp(theta)/2, which the series' cancellation magnifies:
+    near the crossover at GRID_TOL and beta = 0.55 it raised the rms error
+    against the oracle from 2.1e-9 to 3.1e-9 (300 radii on the ray).
     """
-    logz = np.log(zb)
+    k = np.arange(coef.size)
+    hi = float(np.float32(theta))
+    rot = coef * np.exp(1j * (k * hi)) * np.exp(1j * (k * (theta - hi)))
+    return np.stack((rot.real, rot.imag))
+
+
+def _asymp_sum(beta: float, gam: float, r: np.ndarray, theta: float,
+               coef: np.ndarray, start: np.ndarray, out: np.ndarray) -> None:
+    """(1/b) z^{(1-g)/b} e^{z^{1/b}} - sum_{k=1..K} coef[k] z^{-k}, z = r e^{i theta}, into out.
+
+    out has shape (2, r.size): real and imaginary parts.  With rho = r^{1/b}
+    the lead is (1/b) exp(rho cos(theta/b) + (1-g)/b ln r) times
+    e^{i (rho sin(theta/b) + (1-g) theta/b)}, so it takes one real log, two
+    real exps, a cosine and a sine.  The points are sorted by K, and start[k]
+    (k = 0..59) is the first position with order >= k: Horner in 1/r, with
+    coefficients coef[k] e^{-ik theta}, runs each term over that suffix only.
+    """
+    lnr = np.log(r)
+    rho = np.exp(lnr / beta)
+    re, im = out
+    np.multiply(rho, math.sin(theta / beta), out=im)
+    im += (1.0 - gam) * theta / beta
+    rho *= math.cos(theta / beta)
+    lnr *= (1.0 - gam) / beta
+    rho += lnr
+    np.cos(im, out=re)
+    np.sin(im, out=im)
     # a lead term past double range is reported by _ml_grid as MLOverflowError
     with np.errstate(over="ignore", invalid="ignore"):
-        lead = np.exp(np.exp(logz / beta) + (1.0 - gam) / beta * logz) / beta
-    w = 1.0 / zb
-    acc = np.zeros_like(zb)
-    for k in range(_ASYM_TERMS, 0, -1):
-        a = acc[start[k]:]
-        a += coef[k]
+        mag = np.exp(rho, out=rho)
+        mag /= beta
+        out *= mag
+    w = np.divide(1.0, r, out=lnr)
+    top = int(np.count_nonzero(start[1:] < r.size))  # the highest order present
+    c = _rotated(coef[: top + 1], -theta)
+    acc = np.zeros(out.shape)
+    for k in range(top, 0, -1):
+        a = acc[:, start[k]:]
+        a += c[:, k, None]
         a *= w[start[k]:]
-    lead -= acc
-    return lead
+    out -= acc
 
 
 def _contour_sum(beta: float, gam: float, zc: np.ndarray) -> np.ndarray:
@@ -404,42 +471,52 @@ def _contour_sum(beta: float, gam: float, zc: np.ndarray) -> np.ndarray:
     return c * np.exp(star) + h * mu / math.pi * acc
 
 
-def _ml_grid(beta: float, gam: float, z: np.ndarray, tol: float) -> np.ndarray:
-    """Vectorised E_{beta,gam} over an ndarray of sector points, to tol relative.
+def _ml_grid(beta: float, gam: float, r: np.ndarray, theta: float, tol: float) -> np.ndarray:
+    """Vectorised E_{beta,gam}(r e^{i theta}) over an ndarray of radii r >= 0, to tol relative.
 
-    Routes, with rho = |z|^{1/beta}:
+    theta is one angle of the sector |theta| <= beta*pi/2 for every point.
+    Routes, with rho = r^{1/beta}:
 
     * series, rho < ln(tol/1e-16) (and below the asymptotic radius): terms
-      k = 0..N, N the first k > 8 with |z|^k |1/Gamma(beta*k + gam)| < 1e-22;
+      k = 0..N, N the first k > 8 with r^k |1/Gamma(beta*k + gam)| < 1e-22,
+      by Horner's rule in the real r with coefficients
+      e^{ik theta}/Gamma(beta*k + gam);
     * asymptotic, rho >= ln(1/tol), so that the expansion's floor e^{-rho}
-      is below tol: (1/b) z^{(1-g)/b} e^{z^{1/b}} - sum_{k=1..K} z^{-k}/Gamma(g - b*k),
-      K ending at the point's own minimum of the sine-free term envelope,
-      or at its first term whose envelope is below tol*1e-3 (at most 59);
-    * contour (_contour_sum) in the band between, which is empty for
-      tol >= 1e-8.
+      is below tol: (1/b) z^{(1-g)/b} e^{z^{1/b}} - sum_{k=1..K} z^{-k}/Gamma(g - b*k)
+      (_asymp_sum), K ending at the point's own minimum of the sine-free
+      term envelope, or at its first term whose envelope is below tol*1e-3
+      (at most 59);
+    * contour (_contour_sum) on the points z = r e^{i theta} in the band
+      between, which is empty for tol >= 1e-8.
 
-    At tol = GRID_TOL the split is series/asymptotic at |z| = (ln 1/tol)^beta.
+    At tol = GRID_TOL the split is series/asymptotic at r = (ln 1/tol)^beta.
     Both branches then stay within tol on the solver's whole range
     beta in (1/2, 1]: on the ray, against the 50-digit oracle (62 radii up to
-    |z| = 30 for beta < 0.7, 60 above, and six within 2% of the crossover),
-    the worst relative error of E_beta and E_{beta,beta} is 1.2e-8 at
-    beta = 0.55, 1.6e-8 at 0.6, 2.4e-8 at 0.7 and 1.5e-8 at 0.85.
+    r = 30 for beta < 0.7, 60 above, and six within 2% of the crossover),
+    the worst relative error of E_beta and E_{beta,beta} is 1.0e-8 at
+    beta = 0.55, 1.4e-8 at 0.6, 2.2e-8 at 0.7 and 1.5e-8 at 0.85.
 
-    Both orders are step functions of |z| read off scalar thresholds
+    Both orders are step functions of r read off scalar thresholds
     (_grid_orders).  The points are sorted once by (route, order); Horner's
-    rule, in z or in 1/z, then runs from the highest order down over a
-    suffix of the sorted points that grows as the order falls, so each
-    point pays for its own order only.  A finite point whose value leaves
+    rule, in r or in 1/r, then runs from the highest order present down over
+    a suffix of the sorted points that grows as the order falls, so each
+    point pays for its own order only.  Real and imaginary parts are summed
+    as the two rows of one real array.  Complex radii raise TypeError, a
+    negative or NaN radius ValueError; a finite point whose value leaves
     double range raises MLOverflowError.
     """
     if not _EPS < tol < 1.0:
         raise ValueError(f"Mittag-Leffler tolerance must lie in (1e-16, 1): got {tol}")
-    z = np.ascontiguousarray(z, dtype=np.complex128)
+    if np.iscomplexobj(r):
+        raise TypeError("Mittag-Leffler radii must be real: got a complex array")
+    r = np.asarray(r, dtype=np.float64)
+    if r.size and not r.min() >= 0.0:
+        raise ValueError(f"Mittag-Leffler radii must be >= 0: got {r[~(r >= 0.0)][0]}")
     if beta == 1.0 and gam == 1.0:
-        out = np.exp(z)  # E_1 = E_{1,1} = exp
+        out = np.exp(r * cmath.exp(1j * theta))  # E_1 = E_{1,1} = exp
     else:
-        zf = z.ravel()
-        key, scoef, acoef = _grid_orders(beta, gam, tol, np.abs(zf))
+        rf = r.ravel()
+        key, scoef, acoef = _grid_orders(beta, gam, tol, rf)
         nser = scoef.size
         counts = np.bincount(key, minlength=nser + _ASYM_TERMS + 2)
         perm = np.argsort(key, kind="stable")
@@ -447,51 +524,55 @@ def _ml_grid(beta: float, gam: float, z: np.ndarray, tol: float) -> np.ndarray:
         start = np.concatenate(([0], np.cumsum(counts)))
         # sorted positions: series below nsmall, asymptotics below nband, contour above
         nsmall, nband = int(start[nser]), int(start[nser + _ASYM_TERMS + 1])
-        zs = zf[perm]
-
-        res = np.zeros(nsmall, dtype=np.complex128)
-        for k in range(nser - 1, -1, -1):
-            a = res[start[k]:]
-            a *= zs[start[k]:nsmall]
-            a += scoef[k]
+        rs = rf[perm]
+        vals = np.zeros((2, rs.size))  # real and imaginary parts at the sorted positions
+        top = int(np.count_nonzero(start[1:nser] < nsmall))  # the highest series order present
+        c = _rotated(scoef[: top + 1], theta)
+        ser = vals[:, :nsmall]
+        for k in range(top, -1, -1):
+            a = ser[:, start[k]:]
+            a *= rs[start[k]:nsmall]
+            a += c[:, k, None]
         if nband > nsmall:
-            zs[nsmall:nband] = _asymp_sum(beta, gam, zs[nsmall:nband], acoef, start[nser:] - nsmall)
-        if nband < zs.size:
-            zs[nband:] = _contour_sum(beta, gam, zs[nband:])
-        zs[:nsmall] = res
-        out = np.empty_like(zf)
-        out[perm] = zs
-        out = out.reshape(z.shape)
+            _asymp_sum(beta, gam, rs[nsmall:nband], theta, acoef, start[nser:] - nsmall,
+                       vals[:, nsmall:nband])
+        if nband < rs.size:
+            zc = _contour_sum(beta, gam, rs[nband:] * cmath.exp(1j * theta))
+            vals[0, nband:], vals[1, nband:] = zc.real, zc.imag
+        out = np.empty(r.shape, dtype=np.complex128)
+        flat = out.reshape(-1)
+        flat.real[perm] = vals[0]
+        flat.imag[perm] = vals[1]
     if not np.isfinite(out).all():
-        bad = ~np.isfinite(out) & np.isfinite(z)
+        bad = ~np.isfinite(out) & np.isfinite(r)
         if bad.any():
             raise MLOverflowError(
                 f"E_{{{beta:g},{gam:g}}}(z) leaves double range at {np.count_nonzero(bad)} "
-                f"point(s), the smallest with |z| = {np.abs(z[bad]).min():.6g}"
+                f"point(s), the smallest with |z| = {r[bad].min():.6g}"
             )
     return out
 
 
-def ml_e_grid(beta: float, z: np.ndarray, tol: float = GRID_TOL) -> np.ndarray:
-    """Vectorised E_beta on sector points (propagator symbol tables)."""
-    return _ml_grid(beta, 1.0, z, tol)
+def ml_e_grid(beta: float, r: np.ndarray, tol: float = GRID_TOL) -> np.ndarray:
+    """Vectorised E_beta(i^{-beta} r) over radii r >= 0 (propagator tables)."""
+    return _ml_grid(beta, 1.0, r, -beta * math.pi / 2.0, tol)
 
 
-def ml_ee_grid(beta: float, z: np.ndarray, tol: float = GRID_TOL) -> np.ndarray:
-    """Vectorised E_{beta,beta} on sector points (memory kernel tables)."""
-    return _ml_grid(beta, beta, z, tol)
+def ml_ee_grid(beta: float, r: np.ndarray, tol: float = GRID_TOL) -> np.ndarray:
+    """Vectorised E_{beta,beta}(i^{-beta} r) over radii r >= 0 (memory kernel tables)."""
+    return _ml_grid(beta, beta, r, -beta * math.pi / 2.0, tol)
 
 
 def ml_e(beta: float, z: complex) -> complex:
     """E_beta(z) on the sector |arg z| <= beta*pi/2, to 1e-12 relative."""
     _check_sector(beta, z)
-    return complex(_ml_grid(beta, 1.0, np.array([z]), _POINT_TOL)[0])
+    return complex(_ml_grid(beta, 1.0, np.array([abs(z)]), cmath.phase(z), _POINT_TOL)[0])
 
 
 def ml_ee(beta: float, z: complex) -> complex:
     """E_{beta,beta}(z) on the sector |arg z| <= beta*pi/2, to 1e-12 relative."""
     _check_sector(beta, z)
-    return complex(_ml_grid(beta, beta, np.array([z]), _POINT_TOL)[0])
+    return complex(_ml_grid(beta, beta, np.array([abs(z)]), cmath.phase(z), _POINT_TOL)[0])
 
 
 def _check_sector(beta: float, z: complex) -> None:

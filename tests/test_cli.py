@@ -165,6 +165,58 @@ class TestParseConfig:
         # outside the range its bounds hold on
         assert_rejected_at_line(tmp_path, capsys, exp, base, line, message)
 
+    SOLVE = "experiment = solve\nalpha = 1.5\nbeta = 0.85\nT = 0.2\n"
+
+    @pytest.mark.parametrize(
+        "exp, base, line, message",
+        [("solve", SOLVE, "h = 0.3", "'h': extent 51.2 is not an integer multiple of h = 0.3"),
+         ("solve", SOLVE + "extent = 13.6\n", "h = 0.4",
+          "'h': extent 13.6 / h = 0.4 gives 34 sites; the filter's 2h lattice needs a multiple of 4"),
+         ("solve", SOLVE + "extent = 2.8\n", "h = 0.4",
+          "'h': LatticeGrid: n_points must be even and >= 8, got 7"),
+         ("mass", MINIMAL_MASS.replace("h_list = 0.4, 0.2\n", ""), "h_list = 0.4, 0.3",
+          "'h_list': extent 12.8 is not an integer multiple of h = 0.3"),
+         ("smoothing", "experiment = smoothing\nalpha = 1.5\nbeta = 0.85\nuse_filter = off\n"
+          "extent = 13.6\n", "h_list = 0.4",
+          "'h_list': extent 13.6 / h = 0.4 gives 34 sites"),
+         ("continuum", SMALL_CONTINUUM.replace("h_list = 0.4, 0.2, 0.1\n", ""),
+          "h_list = 0.4, 0.2, 0.2", "'h_list': repeats a mesh: [0.4, 0.2, 0.2]"),
+         ("continuum", SMALL_CONTINUUM.replace("h_ref = 0.025\n", ""), "h_ref = 0.05",
+          "'h_ref': h_ref must be at most min(h_list)/4 = 0.025, got 0.05"),
+         ("continuum", SMALL_CONTINUUM.replace("h_ref = 0.025\n", ""), "h_ref = 0.0375",
+          "'h_ref': extent 12.8 is not an integer multiple of h = 0.0375"),
+         ("solve", SOLVE.replace("T = 0.2\n", "h = 0.4\n"), "T = 0", "'T': must be positive, got 0.0"),
+         ("mass", MINIMAL_MASS.replace("width = 2.0\n", ""), "width = 0",
+          "'width': must be positive, got 0.0")],
+        ids=["h-divides", "filter-quarter", "too-few-sites", "h_list-divides", "smoothing-quarter",
+             "h_list-repeats", "h_ref-quarter", "h_ref-divides", "T", "width"],
+    )
+    def test_lattice_fault_rejected(self, tmp_path, capsys, exp, base, line, message):
+        # each failed when the run built its lattice, time grid or datum (exit 1)
+        assert_rejected_at_line(tmp_path, capsys, exp, base, line, message)
+
+    def test_unfiltered_lattice_needs_no_quarter(self, tmp_path):
+        # without the filter, the solve and its datum never build the 2h lattice
+        p = write(tmp_path, self.SOLVE + "extent = 13.6\nuse_filter = off\nh = 0.4\n")
+        assert parse_config(p).raw["h"] == 0.4
+
+    @pytest.mark.parametrize(
+        "base, line, key, digits",
+        [("experiment = ml-check\nbetas = 0.6\n", "r_max = 100", "r_max", 1201),
+         ("experiment = ml-check\nn_radii = 2\n", "betas = 0.75, 0.55", "betas", 738)],
+        ids=["r_max", "betas-at-default-r_max"],
+    )
+    def test_oracle_budget_rejected(self, tmp_path, capsys, base, line, key, digits):
+        # r_max = 100 at beta = 0.6 ran for 120 s before the budget
+        message = f"'{key}': the oracle would need {digits} digits"
+        assert_rejected_at_line(tmp_path, capsys, "ml-check", base, line, message)
+
+    def test_oracle_budget_leaves_room_for_the_benchmark(self, tmp_path):
+        # the benchmark moves each committed beta by up to 0.002
+        config = next(p for p in CONFIGS if p.stem == "ml_check").read_text()
+        cfg = parse_config(write(tmp_path, config.replace("betas = 0.6,", "betas = 0.598,")))
+        assert min(cfg.raw["betas"]) == 0.598
+
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown experiment"):
             parse_config(write(tmp_path, "experiment = frobnicate\n"))
@@ -260,6 +312,7 @@ def test_all_six_configs_committed():
 # values of each parser's type, and how a config file spells them
 _VALUES = {
     cli._parse_float: (st.floats(allow_nan=False, allow_infinity=False), repr),
+    cli._parse_positive: (st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), repr),
     cli._parse_float_list: (
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
         lambda v: ", ".join(map(repr, v)),
@@ -267,7 +320,9 @@ _VALUES = {
     int: (st.integers(-10**6, 10**6), str),
     cli._parse_count: (st.integers(1, 10**6), str),
     cli._parse_steps: (st.integers(2, 10**6), str),
-    cli._parse_nonnegative: (st.floats(min_value=0.0, allow_infinity=False), repr),
+    # r_max, the one key of this type, up to 10: within the oracle's digit
+    # budget at any beta in (1/2, 1]
+    cli._parse_nonnegative: (st.floats(0.0, 10.0), repr),
     cli._parse_beta: (st.floats(0.0, 1.0, exclude_min=True), repr),
     cli._parse_alphas: (
         st.lists(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True), min_size=1, max_size=4),
@@ -283,12 +338,14 @@ _VALUES = {
 _COMMENT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).map(lambda t: "#" + t)
 
 
-# the model keys whose admissible values depend on each other: an
-# experiment that builds ModelParams gets this fixed admissible pair and
-# the defaults of p, sign and s, while every other key it reads may take
-# any value its parser accepts
-_ADMISSIBLE = {"alpha": 1.5, "beta": 0.85}
-_COUPLED = ("alpha", "beta", "p", "sign", "s")
+# the keys whose admissible values depend on each other: the model keys,
+# and the lattice keys, whose meshes must divide extent into a multiple of
+# 4 sites.  An experiment that builds ModelParams gets the fixed admissible
+# values of those it reads and the defaults of p, sign and s, while every
+# other key it reads may take any value its parser accepts
+_ADMISSIBLE = {"alpha": 1.5, "beta": 0.85, "extent": 12.8, "h": 0.4, "h_list": [0.4, 0.2],
+               "h_ref": 0.05}
+_COUPLED = ("p", "sign", "s", *_ADMISSIBLE)
 
 
 def free_keys(exp):
@@ -302,10 +359,15 @@ def config_files(draw):
     """(lines, values): the lines of a parseable file and the dict it must parse to."""
     exp = draw(st.sampled_from(list(cli.EXPERIMENTS)))
     keys = cli.EXPERIMENTS[exp].keys
-    values = {"experiment": exp, **(_ADMISSIBLE if "alpha" in keys else {})}
+    fixed = {k: v for k, v in _ADMISSIBLE.items() if k in keys} if "alpha" in keys else {}
+    values = {"experiment": exp, **fixed}
     free = free_keys(exp)
     required = [k for k in cli.EXPERIMENTS[exp].required if k in free]
     drawn = draw(st.lists(st.sampled_from(free), unique=True, max_size=8))
+    if "betas" in drawn and "r_max" not in drawn:
+        # at the default r_max = 50, a beta near 1/2 needs more oracle digits
+        # than the budget allows; a drawn r_max keeps any beta within it
+        drawn.append("r_max")
     for key in required + [k for k in drawn if k not in required]:
         strategy, _ = _VALUES[cli._KEY_PARSERS[key]]
         values[key] = draw(strategy)
@@ -330,8 +392,9 @@ def _parse_lines(lines):
 class TestConfigProperties:
     def test_drawn_keys_cover_every_parser_type(self):
         free = {k for exp in cli.EXPERIMENTS for k in free_keys(exp)}
-        # int parses only p and sign, which are coupled; unread-key draws use it
-        assert {cli._KEY_PARSERS[k] for k in free} | {int} == set(_VALUES)
+        # int parses only p and sign, and the float list only h_list, which
+        # are coupled; unread-key draws use them
+        assert {cli._KEY_PARSERS[k] for k in free} | {int, cli._parse_float_list} == set(_VALUES)
 
     @settings(max_examples=80, deadline=None)
     @given(config_files())
@@ -486,6 +549,43 @@ amplitude = 0.5
         t, l2 = map(float, rows[1].split(","))
         assert t == 0.0 and l2 == pytest.approx(norm_lp(field, 2), rel=1e-15)
         assert max(report["residual_ratios"]) < 1.0
+
+
+class TestRunFailures:
+    OVERFLOW = """
+experiment = solve
+alpha = 1.5
+beta = 0.85
+p = 3
+h = 0.1
+extent = 25.6
+T = 0.01
+m_steps = 8
+amplitude = 1e100
+"""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_solve_is_an_error(self, tmp_path, capsys):
+        # the Lambda_T norms overflow in sweep 1; this exited 0 with
+        # "pass": true and residuals [inf]
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(write(tmp_path, self.OVERFLOW)), "--out", str(out)]) == 1
+        record = json.loads((out / "solve_error.json").read_text())
+        assert record["error"] == "NonContractionError"
+        assert "sweep 1 overflowed the Lambda_T norm" in record["message"]
+        assert not (out / "solve_report.json").exists()
+        assert "sweep 1 overflowed" in capsys.readouterr().err
+
+    def test_programming_error_is_not_a_run_failure(self, tmp_path, monkeypatch):
+        # only the typed run-time errors become exit 1 and an error record
+        def broken(*args, **kwargs):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(cli, "run_ml_check", broken)
+        cfg = parse_config(write(tmp_path, "experiment = ml-check\nbetas = 0.75\n"))
+        with pytest.raises(ValueError, match="a bug"):
+            run(cfg, tmp_path / "out")
+        assert not (tmp_path / "out" / "ml_check_error.json").exists()
 
 
 class TestMain:

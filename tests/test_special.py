@@ -2,8 +2,11 @@
 
 import cmath
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -253,12 +256,11 @@ class TestGridEvaluators:
     @pytest.mark.parametrize("beta", [0.76, 0.85, 1.0])
     def test_grid_matches_scalar(self, beta):
         rs = np.linspace(0.0, 40.0, 17)
-        z = rs * cmath.exp(-1j * beta * math.pi / 2.0)
-        ge = ml_e_grid(beta, z)
-        gee = ml_ee_grid(beta, z)
-        for i in range(rs.size):
-            assert ge[i] == pytest.approx(ml_e(beta, complex(z[i])), rel=5e-8)
-            assert gee[i] == pytest.approx(ml_ee(beta, complex(z[i])), rel=5e-8)
+        ge = ml_e_grid(beta, rs)
+        gee = ml_ee_grid(beta, rs)
+        for i, r in enumerate(rs):
+            assert ge[i] == pytest.approx(ml_e(beta, RAY(beta, r)), rel=5e-8)
+            assert gee[i] == pytest.approx(ml_ee(beta, RAY(beta, r)), rel=5e-8)
 
     @pytest.mark.parametrize("beta", [0.55, 0.7, 0.85, 1.0])
     def test_grid_matches_oracle_on_the_ray(self, beta):
@@ -268,10 +270,9 @@ class TestGridEvaluators:
         common = [0.0, 0.5 * radius, 0.99 * radius, 1.01 * radius, rmax]
         for gam, grid_f in ((1.0, ml_e_grid), (beta, ml_ee_grid)):
             rs = np.array(common + _order_breakpoints(beta, gam, rmax))
-            z = rs * cmath.exp(-1j * beta * math.pi / 2.0)
-            got = grid_f(beta, z)
-            for zi, gi in zip(z, got):
-                assert gi == pytest.approx(ml_oracle(beta, complex(zi), gam, digits=50), rel=5e-8)
+            got = grid_f(beta, rs)
+            for r, gi in zip(rs, got):
+                assert gi == pytest.approx(ml_oracle(beta, RAY(beta, r), gam, digits=50), rel=5e-8)
 
     @pytest.mark.parametrize("beta", [0.55, 0.85])
     def test_orders_follow_term_by_term_rules(self, beta):
@@ -287,20 +288,37 @@ class TestGridEvaluators:
             assert got.tolist() == want
 
     def test_beta_one_is_exp(self):
+        # E_1 = exp at the point r e^{i theta} the radii and angle describe,
+        # bit for bit, on the ray and at angles all round the plane
+        rs = np.linspace(0.0, 60.0, 31)
+        ray = np.exp(rs * cmath.exp(-0.5j * math.pi))
+        assert np.array_equal(ml_e_grid(1.0, rs), ray)
+        assert np.array_equal(ml_ee_grid(1.0, rs), ray)
         rng = np.random.default_rng(11)
-        ray = np.linspace(0.0, 60.0, 31) * -1j
-        off = rng.uniform(-40.0, 40.0, 40) + 1j * rng.uniform(-40.0, 40.0, 40)
-        for z in (ray, off):
-            ref = np.exp(z)
-            for grid_f in (ml_e_grid, ml_ee_grid):
-                assert np.all(np.abs(grid_f(1.0, z) - ref) <= 1e-15 * np.abs(ref))
+        for theta in rng.uniform(-math.pi, math.pi, 8):
+            r = rng.uniform(0.0, 56.0, 5)
+            got = special._ml_grid(1.0, 1.0, r, theta, special.GRID_TOL)
+            assert np.array_equal(got, np.exp(r * cmath.exp(1j * theta)))
+
+    @pytest.mark.parametrize("r", [-2.5, -1e-300, math.nan])
+    def test_bad_radii_rejected(self, r):
+        rs = np.array([0.0, 3.0, r, 7.0])
+        with pytest.raises(ValueError, match=rf"radii must be >= 0: got {r}$"):
+            ml_e_grid(0.85, rs)
+        with pytest.raises(ValueError, match=rf"radii must be >= 0: got {r}$"):
+            ml_ee_grid(1.0, rs)  # the exp route is checked too
+
+    def test_complex_radii_rejected(self):
+        with pytest.raises(TypeError, match="radii must be real"):
+            ml_e_grid(0.85, np.array([1.0, 2.0 + 0j]))
 
     def test_plans_cached_and_read_only(self):
-        # the coefficient plans are built once per (beta, gam, tol) and shared
-        # by every call, so no caller may write into them
-        z = RAY(0.85, 1.0) * np.linspace(0.0, 12.0, 50)
-        first = ml_ee_grid(0.85, z)
-        for plan in (special._series_plan, special._asymp_plan):
+        # the coefficient plans and the order table are built once per
+        # (beta, gam, tol) and shared by every call, so no caller may write
+        # into them
+        rs = np.linspace(0.0, 12.0, 50)
+        first = ml_ee_grid(0.85, rs)
+        for plan in (special._series_plan, special._asymp_plan, special._order_table):
             a = plan(0.85, 0.85, special.GRID_TOL)
             b = plan(0.85, 0.85, special.GRID_TOL)
             assert all(x is y for x, y in zip(a, b))
@@ -308,7 +326,7 @@ class TestGridEvaluators:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
-        assert np.array_equal(ml_ee_grid(0.85, z), first)
+        assert np.array_equal(ml_ee_grid(0.85, rs), first)
 
     @pytest.mark.parametrize("tol", [1e-16, 1.0, math.nan])
     def test_tolerance_out_of_range_rejected(self, tol):
@@ -324,9 +342,12 @@ class TestGridEvaluators:
     )
     @example(beta=0.75, r=5e-324, frac=1.0)  # subnormal |z|: no phase to check
     def test_grid_matches_scalar_in_sector(self, beta, r, frac):
-        z = complex(r * cmath.exp(1j * frac * beta * math.pi / 2.0))
-        assert ml_e_grid(beta, np.array([z]))[0] == pytest.approx(ml_e(beta, z), rel=5e-8)
-        assert ml_ee_grid(beta, np.array([z]))[0] == pytest.approx(ml_ee(beta, z), rel=5e-8)
+        # the grid evaluator at the point's own angle
+        theta = frac * beta * math.pi / 2.0
+        z = complex(r * cmath.exp(1j * theta))
+        for gam, point_f in ((1.0, ml_e), (beta, ml_ee)):
+            got = special._ml_grid(beta, gam, np.array([r]), theta, special.GRID_TOL)[0]
+            assert got == pytest.approx(point_f(beta, z), rel=5e-8)
 
 
 class TestOneEvaluator:
@@ -372,9 +393,18 @@ class TestOneEvaluator:
     def test_overflow_is_named(self):
         # E_0.55(40) ~ e^{40^{1/0.55}}/0.55 = e^{815}/0.55 leaves double range
         with pytest.raises(MLOverflowError, match=r"E_\{0\.55,1\}.* 1 point.*\|z\| = 40$"):
-            ml_e_grid(0.55, np.array([1.0, 40.0 + 0j]))
+            special._ml_grid(0.55, 1.0, np.array([1.0, 40.0]), 0.0, special.GRID_TOL)
         with pytest.raises(MLOverflowError, match=r"E_\{0\.55,1\}.*\|z\| = 40$"):
             ml_e(0.55, 40.0)
+
+
+def test_evaluators_load_no_numpy_ma():
+    # np.unique would import numpy.ma, 1 MB resident through every solve
+    code = ("import sys, numpy as np, fraclat.special as sp; sp.ml_ee_grid(0.85, np.linspace(0, 99, 9)); "
+            "sp.ml_e(0.8, 3 + 1j); print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(special.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestReciprocalGamma:
