@@ -123,7 +123,10 @@ _GL4_W = np.array(
 def discretize(f, grid: LatticeGrid) -> LatticeField:
     """Cell averages f_h(m h) = (1/h) int_{mh}^{(m+1)h} f, 4-node Gauss per cell."""
     x = grid.sites()[:, None] + grid.h * _GL4_X[None, :]
-    vals = np.asarray(f(x), dtype=np.complex128) @ _GL4_W
+    # a product and a row sum, not a matrix product: above ~10^4 entries
+    # the BLAS call wakes its second thread, which then spins for about
+    # 0.1 s and halved the speed of the solver's first table on 2 cores
+    vals = (np.asarray(f(x), dtype=np.complex128) * _GL4_W).sum(axis=-1)
     return LatticeField(grid=grid, values=vals)
 
 
