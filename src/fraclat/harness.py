@@ -377,63 +377,46 @@ def run_continuum_study(
 ) -> dict:
     """Mesh-refinement study against a fine continuum reference.
 
-    T is chosen by the contraction criterion: if any Picard run fails to
-    contract (or its residual ratios exceed ratio_cap), the horizon is
-    shrunk and the whole sweep rerun, mirroring T(rho) -> infinity as the
-    data shrinks.
+    The horizon follows the contraction criterion, mirroring T(rho) ->
+    infinity as the data shrinks: the reference and every mesh are solved
+    at T, 0.6 T, 0.36 T, ... (at most _MAX_SHRINK + 1 horizons) until no
+    solve raises NonContractionError and every Picard residual ratio is
+    below ratio_cap (not read when linear_only).  Past the last horizon it
+    raises NonContractionError("no contracting horizon found down to T =
+    <last horizon run>: <cause>"), the cause being the last solver error,
+    chained, or the ratio that broke the cap.
     """
     h_list = sorted(h_list, reverse=True)
     check_h_ref(h_list, h_ref)
 
-    T_used = T
-    for _attempt in range(_MAX_SHRINK + 1):
-        try:
-            tg = TimeGrid(T=T_used, m_steps=m_steps)
-
-            def run_h(h: float) -> SolutionTrajectory:
-                grid = grid_for(extent, h)
-                return solve(params, grid, tg, f, nonlinear=not linear_only, tol=tol)
-
-            def run_ref() -> SolutionTrajectory:
-                return solve_continuum_reference(
-                    params, grid_for(extent, h_ref), tg, f,
-                    nonlinear=not linear_only, tol=tol,
-                )
-
-            # the reference, the longest solve, starts first and runs beside
-            # the h-sweep when workers > 1
-            jobs = [run_ref] + [partial(run_h, h) for h in h_list]
-            ref, *trajs = _fan_out(lambda job: job(), jobs, workers)
-            all_ratios = [r for t in list(trajs) + [ref] for r in t.residual_ratios]
-            if not linear_only and all_ratios and max(all_ratios) >= ratio_cap:
-                raise NonContractionError(
-                    f"residual ratio {max(all_ratios):.3f} >= cap {ratio_cap}",
-                    [],
-                )
-            break
-        except NonContractionError:
+    kw = dict(nonlinear=not linear_only, tol=tol)
+    T_used, error = T, None
+    for attempt in range(_MAX_SHRINK + 1):
+        if attempt:
             T_used *= 0.6
+        tg = TimeGrid(T=T_used, m_steps=m_steps)
+        # the reference, the longest solve, starts first and runs beside the
+        # h-sweep when workers > 1
+        jobs = [partial(solve_continuum_reference, params, grid_for(extent, h_ref), tg, f, **kw)]
+        jobs += [partial(solve, params, grid_for(extent, h), tg, f, **kw) for h in h_list]
+        try:
+            ref, *trajs = _fan_out(lambda job: job(), jobs, workers)
+        except NonContractionError as exc:
+            error, cause = exc, str(exc)
+            continue
+        worst = max((r for t in [ref, *trajs] for r in t.residual_ratios), default=0.0)
+        if linear_only or worst < ratio_cap:
+            break
+        error, cause = None, f"residual ratio {worst:.3f} >= cap {ratio_cap}"
     else:
-        raise NonContractionError(
-            f"no contracting horizon found down to T = {T_used:g}", []
-        )
+        message = f"no contracting horizon found down to T = {T_used:g}: {cause}"
+        raise NonContractionError(message, []) from error
 
-    pairs, l2_errors, lam_errors, residual_log = [], [], [], {}
-    for h, traj in zip(h_list, trajs):
-        err_s, err_l2, err_lam = _trajectory_errors(traj, ref, params)
-        pairs.append((h, err_s))
-        l2_errors.append((h, err_l2))
-        lam_errors.append((h, err_lam))
-        residual_log[str(h)] = traj.residuals
-
-    if all(e > 0.0 for _, e in pairs) and len(pairs) >= 3:
-        order = fit_order(pairs)
-    else:
-        order = float("nan")
-    errs = [e for _, e in pairs]
-    lam_errs = [e for _, e in lam_errors]
-    monotone = all(a > b for a, b in zip(errs, errs[1:]))
-    lambda_monotone = all(a > b for a, b in zip(lam_errs, lam_errs[1:]))
+    err_s, err_l2, err_lam = zip(*(_trajectory_errors(traj, ref, params) for traj in trajs))
+    positive = all(e > 0.0 for e in err_s) and len(err_s) >= 3
+    order = fit_order(zip(h_list, err_s)) if positive else float("nan")
+    monotone = all(a > b for a, b in zip(err_s, err_s[1:]))
+    lambda_monotone = all(a > b for a, b in zip(err_lam, err_lam[1:]))
     if linear_only:
         passed = abs(order - (2.0 - params.alpha)) <= 0.3
     else:
@@ -441,15 +424,15 @@ def run_continuum_study(
     return {
         "experiment": "continuum",
         "linear_only": linear_only,
-        "pairs": [[h, e] for h, e in pairs],
-        "l2_errors": [[h, e] for h, e in l2_errors],
-        "lambda_errors": [[h, e] for h, e in lam_errors],
+        "pairs": [[h, e] for h, e in zip(h_list, err_s)],
+        "l2_errors": [[h, e] for h, e in zip(h_list, err_l2)],
+        "lambda_errors": [[h, e] for h, e in zip(h_list, err_lam)],
         "fitted_order": order,
         "target_order": 2.0 - params.alpha,
         "T_used": T_used,
         "monotone": monotone,
         "lambda_monotone": lambda_monotone,
-        "residuals": residual_log,
+        "residuals": {str(h): traj.residuals for h, traj in zip(h_list, trajs)},
         "ref_residuals": ref.residuals,
         "pass": bool(passed),
     }

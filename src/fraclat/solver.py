@@ -66,7 +66,8 @@ class ParameterError(ValueError):
 
 
 class NonContractionError(RuntimeError):
-    """Picard residuals stopped decreasing: the horizon T is too large."""
+    """The Picard construction failed: its residuals stopped decreasing, or an
+    iterate (the linear flow included) or its norm left double range."""
 
     def __init__(self, message: str, residuals: list[float]):
         super().__init__(message)
@@ -407,12 +408,15 @@ def solve(
     nonlinear=False it makes the density u-independent (manufactured
     time-refinement studies) and the fixed point is reached in one sweep.
 
-    Raises ValueError for an unknown symbol_source or an initial field that
+    Raises ValueError for an unknown symbol_source or an initial_field that
     is not finite, GridMismatchError for a filtered nonlinear solve whose
-    n_points is not divisible by 4, and NonContractionError when an iterate
-    or its Lambda_T norm stops being finite or residuals fail to decrease
-    on three consecutive sweeps: the signal that T exceeds the contraction
-    horizon.
+    n_points is not divisible by 4, and NonContractionError when the linear
+    flow, the first iterate, is not finite (the message names the stage
+    that left double range: the datum built from f, its spectrum or its
+    propagation), when a later iterate or its Lambda_T norm stops being
+    finite, or when residuals fail to decrease on three consecutive sweeps:
+    the signal that T exceeds the contraction horizon.  So no returned
+    trajectory holds a non-finite value.
     """
     # the continuum reference carries no lattice filter, in its datum or
     # its nonlinearity
@@ -420,15 +424,15 @@ def solve(
     if initial_field is not None:
         if not initial_field.grid.compatible(grid):
             raise GridMismatchError("initial_field grid does not match solver grid")
+        bad = np.flatnonzero(~np.isfinite(initial_field.values))
+        if bad.size:
+            raise ValueError(
+                f"solve: the initial field is not finite at {bad.size} of {grid.n_points} "
+                f"sites (site {bad[0]} holds {initial_field.values[bad[0]]})"
+            )
         u0 = initial_field
     else:
         u0 = prepare_initial(f, grid, run_params.use_filter)
-    bad = np.flatnonzero(~np.isfinite(u0.values))
-    if bad.size:
-        raise ValueError(
-            f"solve: the initial field is not finite at {bad.size} of {grid.n_points} "
-            f"sites (site {bad[0]} holds {u0.values[bad[0]]})"
-        )
     if nonlinear and run_params.use_filter:
         grid.coarse()  # the filter's sub-lattice: n_points % 4 == 0
 
@@ -440,11 +444,22 @@ def solve(
     j = np.arange(grid.n_points)
     LIN = ml_e_grid(params.beta, r, tol=GRID_TOL).take(np.minimum(j, grid.n_points - j), axis=-1)
     del r  # else it stays alive through every Picard sweep
-    LIN *= np.fft.fft(u0.values)
+    u0_hat = np.fft.fft(u0.values)
+    LIN *= u0_hat
     # the linear flow is the first iterate; the first sweep turns it into
     # the step, which the next rebinding of U frees
     U = np.fft.ifft(LIN, axis=-1)
     U[0] = u0.values  # t = 0 multiplier is exactly 1
+    if not np.isfinite(U).all():
+        # like every Picard iterate, the first one must be finite; name the
+        # first stage that left double range
+        stages = (("datum", u0.values), ("datum's spectrum", u0_hat), ("propagated datum", U))
+        stage = next(name for name, a in stages if not np.isfinite(a).all())
+        raise NonContractionError(
+            f"the linear flow is not finite: the {stage} left double range "
+            f"(largest |datum| {np.abs(u0.values).max():.3e}); shrink the data",
+            [],
+        )
 
     if not nonlinear and forcing is None:
         return SolutionTrajectory(timegrid, grid, U)

@@ -576,6 +576,23 @@ amplitude = 1e100
         assert not (out / "solve_report.json").exists()
         assert "sweep 1 overflowed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "stem, amplitude, stage",
+        [("mass", "1e307", "propagated datum"), ("solve", "1.7e308", "datum")],
+    )
+    def test_datum_past_double_range_is_an_error(self, tmp_path, stem, amplitude, stage):
+        # mass wrote NaN ratios and a "variation": NaN report and exited 1;
+        # solve ended in a ValueError traceback
+        committed = next(p for p in CONFIGS if p.stem == stem).read_text()
+        text = re.sub(r"(?m)^amplitude = .*$", "", committed) + f"amplitude = {amplitude}\n"
+        out = tmp_path / "out"
+        assert main([stem, "--config", str(write(tmp_path, text)), "--out", str(out)]) == 1
+        record = json.loads((out / f"{stem}_error.json").read_text())
+        assert record["error"] == "NonContractionError"
+        assert f"the linear flow is not finite: the {stage} left double range" in record["message"]
+        assert sorted(f.name for f in out.iterdir()) == [f"{stem}_error.json"]
+
     def test_programming_error_is_not_a_run_failure(self, tmp_path, monkeypatch):
         # only the typed run-time errors become exit 1 and an error record
         def broken(*args, **kwargs):

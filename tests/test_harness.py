@@ -28,6 +28,7 @@ from fraclat.lattice import (
 )
 from fraclat.solver import (
     ModelParams,
+    NonContractionError,
     SolutionTrajectory,
     TimeGrid,
     prepare_initial,
@@ -182,6 +183,13 @@ class TestSmoothing:
             run_smoothing_experiment(params, [0.2, 0.1], extent=3.6)
 
 
+# the horizon search's cases: amplitude 2 fails the contraction test at
+# T = 0.1 and passes it at 0.06, one shrink later
+SHRINK_PARAMS = ModelParams(alpha=1.5, beta=0.85, p=3)
+SHRINK_MESHES = ([0.4, 0.2, 0.1], 0.025)
+SHRINK_KW = dict(extent=25.6, T=0.1, m_steps=16)
+
+
 class TestContinuumStudy:
     def test_zero_data_flagged(self):
         params = ModelParams(alpha=1.5, beta=0.85)
@@ -216,6 +224,42 @@ class TestContinuumStudy:
         params = ModelParams(alpha=1.5, beta=0.85)
         with pytest.raises(ValueError):
             run_continuum_study(params, [0.4, 0.2], 0.2, gauss, extent=12.8)
+
+    def test_horizon_shrinks_once(self):
+        rep = run_continuum_study(SHRINK_PARAMS, *SHRINK_MESHES, gaussian_profile(amplitude=2.0),
+                                  **SHRINK_KW)
+        assert rep["T_used"] == 0.06
+        assert rep["pass"] and rep["monotone"] and rep["lambda_monotone"]
+        # pinned from the study's report at T = 0.06 (13 sweeps per solve)
+        assert rep["fitted_order"] == pytest.approx(1.0435350978223166, rel=1e-10)
+        assert [e for _, e in rep["pairs"]] == pytest.approx(
+            [1.0052095783999586, 0.4994551775966147, 0.23658428109924018], rel=1e-10)
+        assert [e for _, e in rep["l2_errors"]] == pytest.approx(
+            [0.7196029825460516, 0.35674241931431466, 0.16893414644127083], rel=1e-10)
+        assert rep["lambda_errors"] == rep["pairs"]  # eta2 is the largest part of Lambda_T
+        assert len(rep["ref_residuals"]) == 13
+        assert {h: len(r) for h, r in rep["residuals"].items()} == {"0.4": 13, "0.2": 13, "0.1": 13}
+        assert rep["ref_residuals"][-1] == pytest.approx(3.504420140796283e-10, rel=1e-6)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_gives_up_naming_the_last_horizon_run_and_the_solver_error(self):
+        # every horizon overflows the Lambda_T norm in sweep 1; the search
+        # runs T = 0.01 ... 0.01 * 0.6^4 and names the last of them
+        kw = dict(SHRINK_KW, T=0.01, m_steps=8)
+        with pytest.raises(NonContractionError) as exc:
+            run_continuum_study(SHRINK_PARAMS, *SHRINK_MESHES, gaussian_profile(amplitude=1e100), **kw)
+        message = str(exc.value)
+        assert message.startswith("no contracting horizon found down to T = 0.001296: ")
+        assert "Picard sweep 1 overflowed the Lambda_T norm" in message
+        assert isinstance(exc.value.__cause__, NonContractionError)
+        assert str(exc.value.__cause__) in message
+
+    def test_gives_up_naming_the_ratio_over_the_cap(self):
+        cause = r"down to T = 0\.01296: residual ratio 0\.\d{3} >= cap 0\.01$"
+        with pytest.raises(NonContractionError, match=cause) as exc:
+            run_continuum_study(SHRINK_PARAMS, *SHRINK_MESHES, gaussian_profile(amplitude=2.0),
+                                ratio_cap=0.01, **SHRINK_KW)
+        assert exc.value.__cause__ is None
 
 
 class TestGridFor:
@@ -258,10 +302,10 @@ class TestWorkers:
 
     def test_continuum_study_matches_serial(self):
         # workers = 2 runs the reference beside the h-sweep; the report is
-        # the serial one, value for value
-        params = ModelParams(alpha=1.5, beta=0.85)
-        kw = dict(extent=12.8, T=0.4, m_steps=16)
-        serial = run_continuum_study(params, [0.4, 0.2, 0.1], 0.025, gauss, workers=1, **kw)
-        threaded = run_continuum_study(params, [0.4, 0.2, 0.1], 0.025, gauss, workers=2, **kw)
+        # the serial one, value for value, after a horizon shrink too
+        f = gaussian_profile(amplitude=2.0)
+        serial = run_continuum_study(SHRINK_PARAMS, *SHRINK_MESHES, f, workers=1, **SHRINK_KW)
+        threaded = run_continuum_study(SHRINK_PARAMS, *SHRINK_MESHES, f, workers=2, **SHRINK_KW)
+        assert serial["T_used"] == 0.06
         assert threaded == serial
         assert len(serial["ref_residuals"]) >= 3

@@ -580,6 +580,23 @@ class TestSolve:
             solve(params, grid, tg, gauss, forcing=forcing)
         assert exc.value.residuals == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    @pytest.mark.parametrize(
+        "h, n_points, amplitude, stage",
+        [(0.2, 256, 1.7e308, "datum"), (0.1, 512, 1e307, "datum's spectrum"),
+         (0.4, 128, 1e307, "propagated datum")],
+    )
+    def test_non_finite_linear_flow_raises_typed_error(self, nonlinear, h, n_points, amplitude, stage):
+        # a linear solve returned the overflowed flow, NaN at every node; a
+        # datum past double range raised a ValueError
+        params = ModelParams(alpha=1.5, beta=0.85)
+        grid = LatticeGrid(h=h, n_points=n_points)
+        with pytest.raises(NonContractionError, match=f"the {stage} left double range") as exc:
+            solve(params, grid, TimeGrid(T=1.0, m_steps=16), lambda x: amplitude * gauss(x),
+                  nonlinear=nonlinear)
+        assert str(exc.value).startswith("the linear flow is not finite") and exc.value.residuals == []
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize(
         "p, amplitude, T, sweep",

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraclat import symbol
 from fraclat.symbol import (
+    MultiplicityError,
     _zeta_table,
     find_xi0,
     find_xi1,
@@ -199,6 +201,16 @@ class TestCriticalPoints:
         assert find_xi1(1.37, 0.85) > xi0
         info = find_xi0.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    def test_xi1_refuses_more_than_one_sign_change(self, monkeypatch):
+        # a bump in w' near xi = 2.5 lifts g = (1/b-1) w'^2 + w w'' above
+        # zero past the true root, so g changes sign three times on (xi0, pi)
+        def bumped(alpha, x):
+            return np.asarray(w_prime(alpha, x)) + 10.0 * np.exp(-(((np.asarray(x) - 2.5) / 0.1) ** 2))
+
+        monkeypatch.setattr(symbol, "w_prime", bumped)
+        with pytest.raises(MultiplicityError, match=r"phi'' shows 3 sign changes on \(xi0, pi\)"):
+            find_xi1(ALPHA, 0.85)
 
 
 class TestZetaTable:
