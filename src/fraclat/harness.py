@@ -7,7 +7,10 @@ with a "pass" flag, so the CLI can persist machine-readable reports.
 The continuum study measures sup-in-time Sobolev distances between the
 linearly interpolated lattice solution and a fine pseudo-spectral
 reference, then fits the convergence order against the mesh; the target
-order is 2 - alpha.  The mass and smoothing experiments reach the
+order is 2 - alpha.  The reference is solved on the coarsest of
+min(h_list), min/2, ... whose band above 2/(p+1) of its Nyquist holds
+nothing of the datum's or the solution's spectrum, then zero-padded to
+the reference grid.  The mass and smoothing experiments reach the
 linear flow only through the solver: each datum evolves under the
 memory propagator E_beta(i^{-beta} t^beta mu) of a linear solve.  The
 smoothing experiment evolves Nyquist wave packets and compares the
@@ -28,6 +31,7 @@ import numpy as np
 from .lattice import (
     LatticeField,
     LatticeGrid,
+    discretize,
     filter_pi,
     interp_linear,
     lambda_norm,
@@ -236,10 +240,12 @@ def run_mass_uniformity(
     def one(h: float) -> dict:
         grid = grid_for(extent, h)
         traj = solve(params, grid, timegrid, f, nonlinear=False)
-        nrm0 = norm_lp(traj.snapshot(0), 2)
+        # scaled by a power of two: the squares stay in range, the ratio keeps its bits
+        u = traj.values * 2.0 ** -math.frexp(np.abs(traj.values).max())[1]
+        nrm0 = norm_lp(LatticeField(grid, u[0]), 2)
         if nrm0 == 0.0:
             return {"h": h, "ratio": None, "skipped": "zero initial data"}
-        mass = np.sqrt(grid.h * np.sum(np.abs(traj.values) ** 2, axis=-1))
+        mass = np.sqrt(grid.h * np.sum(np.abs(u) ** 2, axis=-1))
         return {"h": h, "ratio": float(mass.max() / nrm0)}
 
     entries = _fan_out(one, h_list, workers)
@@ -360,6 +366,38 @@ def check_h_ref(h_list, h_ref: float) -> None:
 
 # horizon shrinks (T -> 0.6 T each) before the continuum study gives up
 _MAX_SHRINK = 4
+# the largest share of its peak a reference spectrum may hold in the band
+# that the p-fold products of a solve at the solve mesh alias back into
+_REF_TAIL = 1e-13
+
+
+def _resolved(spectra: np.ndarray, grid: LatticeGrid, H: float, p: int) -> bool:
+    """Whether every row of spectra holds below _REF_TAIL of its peak where
+    the wavenumber |xi|/h exceeds 2 pi/((p+1) H) (Orszag, J. Atmos. Sci. 28, 1971)."""
+    a = np.abs(spectra)
+    band = np.abs(grid.freqs()) / grid.h > 2.0 * math.pi / ((p + 1) * H)
+    return bool(np.all(a[..., band].max(axis=-1) < _REF_TAIL * a.max(axis=-1)))
+
+
+def _padded_reference(params, datum: LatticeField, H: float, tg: TimeGrid, **kw):
+    """(reference, solve mesh): the continuum reference from datum, solved on
+    the sites of mesh H and zero-padded to datum's grid, with row 0 datum
+    itself; solved again on datum's grid when its spectrum is not resolved."""
+    fine = datum.grid
+    if H != fine.h:
+        grid = grid_for(fine.extent, H)
+        r = fine.n_points // grid.n_points
+        traj = solve_continuum_reference(params, grid, tg, None,
+                                         initial_field=LatticeField(grid, datum.values[::r]), **kw)
+        spectra = r * np.fft.fft(traj.values, axis=-1)
+        if _resolved(spectra, grid, H, params.p):
+            half = grid.n_points // 2
+            padded = np.zeros((len(spectra), fine.n_points), dtype=np.complex128)
+            padded[:, :half], padded[:, -half:] = spectra[:, :half], spectra[:, half:]
+            padded = np.fft.ifft(padded, axis=-1, out=padded)
+            padded[0] = datum.values
+            return SolutionTrajectory(tg, fine, padded, traj.residuals), H
+    return solve_continuum_reference(params, fine, tg, None, initial_field=datum, **kw), fine.h
 
 
 def run_continuum_study(
@@ -385,9 +423,26 @@ def run_continuum_study(
     raises NonContractionError("no contracting horizon found down to T =
     <last horizon run>: <cause>"), the cause being the last solver error,
     chained, or the ratio that broke the cap.
+
+    The reference datum, the cell averages of f on the h_ref grid, is built
+    once (past double range: NonContractionError before any solve).  The
+    reference is solved from its values on the sites of the coarsest H of
+    min(h_list), min/2, ..., h_ref whose band |xi|/H > 2 pi/((p+1) H) the
+    datum's spectrum resolves (_resolved), then zero-padded to h_ref; once
+    more at h_ref if its solution's fails that test.  ref_solve_h names H.
     """
     h_list = sorted(h_list, reverse=True)
     check_h_ref(h_list, h_ref)
+    datum = discretize(f, grid_for(extent, h_ref))
+    spectrum = np.fft.fft(datum.values)
+    if not np.isfinite(spectrum).all():
+        raise NonContractionError("the reference datum or its spectrum left double range (largest "
+                                  f"|datum| {np.abs(datum.values).max():.3e}); shrink the data", [])
+    H = min(h_list)  # the solve mesh
+    while H > 1.5 * h_ref and not (abs(round(H / h_ref) * h_ref - H) <= 1e-9 * H
+                                   and _resolved(spectrum, datum.grid, H, params.p)):
+        H /= 2.0
+    H = H if H > 1.5 * h_ref else h_ref
 
     kw = dict(nonlinear=not linear_only, tol=tol)
     T_used, error = T, None
@@ -397,10 +452,10 @@ def run_continuum_study(
         tg = TimeGrid(T=T_used, m_steps=m_steps)
         # the reference, the longest solve, starts first and runs beside the
         # h-sweep when workers > 1
-        jobs = [partial(solve_continuum_reference, params, grid_for(extent, h_ref), tg, f, **kw)]
+        jobs = [partial(_padded_reference, params, datum, H, tg, **kw)]
         jobs += [partial(solve, params, grid_for(extent, h), tg, f, **kw) for h in h_list]
         try:
-            ref, *trajs = _fan_out(lambda job: job(), jobs, workers)
+            (ref, ref_h), *trajs = _fan_out(lambda job: job(), jobs, workers)
         except NonContractionError as exc:
             error, cause = exc, str(exc)
             continue
@@ -434,6 +489,7 @@ def run_continuum_study(
         "lambda_monotone": lambda_monotone,
         "residuals": {str(h): traj.residuals for h, traj in zip(h_list, trajs)},
         "ref_residuals": ref.residuals,
+        "ref_solve_h": ref_h,
         "pass": bool(passed),
     }
 

@@ -593,6 +593,23 @@ amplitude = 1e100
         assert f"the linear flow is not finite: the {stage} left double range" in record["message"]
         assert sorted(f.name for f in out.iterdir()) == [f"{stem}_error.json"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_continuum_datum_past_double_range_fails_at_once(self, tmp_path, monkeypatch):
+        # the study built this datum inside every solve and reran five horizons
+        # that could not pass; now it names the datum before any solve
+        calls = []
+        for name in ("solve", "solve_continuum_reference"):
+            monkeypatch.setattr(fraclat.harness, name, lambda *a, **k: calls.append(a))
+        committed = next(p for p in CONFIGS if p.stem == "continuum").read_text()
+        text = re.sub(r"(?m)^amplitude = .*$", "", committed) + "amplitude = 1.7e308\n"
+        out = tmp_path / "out"
+        assert main(["continuum", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 1
+        record = json.loads((out / "continuum_error.json").read_text())
+        assert record["error"] == "NonContractionError"
+        assert record["message"].startswith("the reference datum or its spectrum left double range")
+        assert sorted(f.name for f in out.iterdir()) == ["continuum_error.json"]
+        assert calls == []
+
     def test_programming_error_is_not_a_run_failure(self, tmp_path, monkeypatch):
         # only the typed run-time errors become exit 1 and an error record
         def broken(*args, **kwargs):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
+from fraclat import harness
 from fraclat.harness import (
     fit_order,
     gaussian_profile,
@@ -22,6 +23,7 @@ from fraclat.lattice import (
     GridMismatchError,
     LatticeField,
     LatticeGrid,
+    discretize,
     filter_pi,
     norm_lp,
     norm_smoothing,
@@ -33,6 +35,7 @@ from fraclat.solver import (
     TimeGrid,
     prepare_initial,
     solve,
+    solve_continuum_reference,
 )
 from fraclat.special import ml_e_grid
 from fraclat.symbol import phi_eval, w_eval
@@ -126,6 +129,17 @@ class TestMassUniformity:
                 mass = math.sqrt(grid.h / grid.n_points * np.sum(np.abs(mult * c0) ** 2))
                 worst = max(worst, mass / norm_lp(u0, 2))
             assert e["ratio"] == pytest.approx(worst, rel=1e-12)
+
+    def test_huge_amplitude_keeps_the_ratios(self):
+        # the squares of 1e200 overflowed both L^2 norms: every ratio was nan
+        params = ModelParams(alpha=1.5, beta=0.85)
+        kw = dict(extent=12.8, T=0.5, n_times=8)
+        one = run_mass_uniformity(params, [0.4, 0.2], gaussian_profile(), **kw)
+        big = run_mass_uniformity(params, [0.4, 0.2], gaussian_profile(amplitude=1e200), **kw)
+        assert [e["ratio"] for e in big["entries"]] == pytest.approx(
+            [e["ratio"] for e in one["entries"]], rel=1e-12)
+        assert big["variation"] == pytest.approx(one["variation"], abs=1e-12)
+        assert big["pass"]
 
 
 class TestSmoothing:
@@ -260,6 +274,98 @@ class TestContinuumStudy:
             run_continuum_study(SHRINK_PARAMS, *SHRINK_MESHES, gaussian_profile(amplitude=2.0),
                                 ratio_cap=0.01, **SHRINK_KW)
         assert exc.value.__cause__ is None
+
+
+_trajectory_errors = harness._trajectory_errors
+
+
+def spy_reference(monkeypatch):
+    """Record (mesh, result) of every reference solve and the reference the errors read."""
+    seen = {"solves": [], "ref": []}
+
+    def solve_ref(params, grid, tg, f, **kw):
+        traj = solve_continuum_reference(params, grid, tg, f, **kw)
+        seen["solves"].append((grid.h, kw.get("initial_field") is not None, traj))
+        return traj
+
+    def errors(traj, ref, params):
+        seen["ref"].append(ref)
+        return _trajectory_errors(traj, ref, params)
+
+    monkeypatch.setattr(harness, "solve_continuum_reference", solve_ref)
+    monkeypatch.setattr(harness, "_trajectory_errors", errors)
+    return seen
+
+
+def band_tail(values, grid, H, p=3):
+    """The largest share of its peak a node's spectrum holds where |xi|/h > 2 pi/((p+1) H)."""
+    a = np.abs(np.fft.fft(values, axis=-1))
+    band = np.abs(grid.freqs()) / grid.h > 2.0 * math.pi / ((p + 1) * H)
+    return float(np.max(a[..., band].max(axis=-1) / a.max(axis=-1)))
+
+
+class TestPaddedReference:
+    def test_padded_reference_equals_the_full_solve(self, monkeypatch):
+        seen = spy_reference(monkeypatch)
+        f = gaussian_profile(amplitude=0.8)
+        rep = run_continuum_study(SHRINK_PARAMS, *SHRINK_MESHES, f, **SHRINK_KW)
+        assert rep["ref_solve_h"] == 0.1 and rep["T_used"] == 0.1
+        assert [(h, given) for h, given, _ in seen["solves"]] == [(0.1, True)]
+        ref = seen["ref"][0]
+        full = solve_continuum_reference(SHRINK_PARAMS, grid_for(25.6, 0.025), ref.timegrid, f)
+        assert np.array_equal(ref.values[0], full.values[0])  # row 0 is the datum
+        l2 = lambda v: np.sqrt(np.sum(np.abs(v) ** 2, axis=-1)).max()
+        assert l2(ref.values - full.values) <= 1e-13 * l2(full.values)
+        assert len(ref.residuals) == len(full.residuals)
+
+    @pytest.mark.parametrize("f, kw", [
+        # the committed datum truncated to extent 12.8: cut at 3.6e-5 of its peak
+        (gaussian_profile(amplitude=0.8), dict(extent=12.8, T=0.4, m_steps=16)),
+        # a packet at the reference grid's Nyquist frequency
+        (lambda x: np.exp(1j * math.pi / 0.025 * np.asarray(x)) * gauss(x),
+         dict(extent=12.8, T=0.4, m_steps=16, linear_only=True)),
+    ], ids=["truncated-gaussian", "nyquist-packet"])
+    def test_unresolved_datum_takes_h_ref_in_one_solve(self, monkeypatch, f, kw):
+        seen = spy_reference(monkeypatch)
+        rep = run_continuum_study(SHRINK_PARAMS, [0.4, 0.2, 0.1], 0.025, f, **kw)
+        assert rep["ref_solve_h"] == 0.025
+        assert [(h, given) for h, given, _ in seen["solves"]] == [(0.025, True)]
+        ref = seen["ref"][0]
+        assert ref is seen["solves"][0][2]
+        today = solve_continuum_reference(SHRINK_PARAMS, grid_for(12.8, 0.025), ref.timegrid, f,
+                                          nonlinear=not kw.get("linear_only", False))
+        assert np.array_equal(ref.values, today.values)
+        assert ref.residuals == today.residuals
+
+    def test_unresolved_solution_falls_back_to_h_ref(self, monkeypatch):
+        # the cubic's harmonics reach the band the datum leaves nearly empty
+        # at H = 0.4; a threshold between the two tails passes the datum and
+        # rejects the solution, which is solved once more at h_ref
+        f = gaussian_profile(amplitude=0.8)
+        h_list, h_ref, kw = [1.6, 0.8, 0.4], 0.1, dict(extent=25.6, T=0.2, m_steps=8)
+        datum = discretize(f, grid_for(25.6, h_ref))
+        coarse_grid = grid_for(25.6, 0.4)
+        coarse = solve_continuum_reference(SHRINK_PARAMS, coarse_grid, TimeGrid(0.2, 8), None,
+                                           initial_field=LatticeField(coarse_grid, datum.values[::4]))
+        lo, hi = band_tail(datum.values, datum.grid, 0.4), band_tail(coarse.values, coarse_grid, 0.4)
+        assert 100.0 * lo < hi
+        monkeypatch.setattr(harness, "_REF_TAIL", math.sqrt(lo * hi))
+        seen = spy_reference(monkeypatch)
+        rep = run_continuum_study(SHRINK_PARAMS, h_list, h_ref, f, **kw)
+        assert rep["ref_solve_h"] == h_ref
+        assert [(h, given) for h, given, _ in seen["solves"]] == [(0.4, True), (h_ref, True)]
+        assert seen["ref"][0] is seen["solves"][1][2]
+        assert rep["ref_residuals"] == seen["solves"][1][2].residuals
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_datum_past_double_range_fails_before_any_solve(self, monkeypatch):
+        seen = spy_reference(monkeypatch)
+        with pytest.raises(NonContractionError,
+                           match=r"^the reference datum or its spectrum left double range \(largest "
+                                 r"\|datum\| 1\.\d+e\+308\); shrink the data$"):
+            run_continuum_study(SHRINK_PARAMS, *SHRINK_MESHES, gaussian_profile(amplitude=1.7e308),
+                                **SHRINK_KW)
+        assert seen["solves"] == []
 
 
 class TestGridFor:
