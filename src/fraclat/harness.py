@@ -6,17 +6,17 @@ with a "pass" flag, so the CLI can persist machine-readable reports.
 
 The continuum study measures sup-in-time Sobolev distances between the
 linearly interpolated lattice solution and a fine pseudo-spectral
-reference, then fits the convergence order against the mesh; the target
-order is 2 - alpha.  The reference is solved on the coarsest of
-min(h_list), min/2, ... whose band above 2/(p+1) of its Nyquist holds
-nothing of the datum's or the solution's spectrum, then zero-padded to
-the reference grid.  The mass and smoothing experiments reach the
-linear flow only through the solver: each datum evolves under the
-memory propagator E_beta(i^{-beta} t^beta mu) of a linear solve.  The
-smoothing experiment evolves Nyquist wave packets and compares the
-growth of the smoothing quotient with and without the interpolation
-filter: unfiltered packets resonate at the symbol's critical point while
-filtered ones stay h-uniform.
+reference, a block of time nodes at a time, then fits the order against
+the mesh; the target order is 2 - alpha.  The reference is solved on the
+coarsest of min(h_list), min/2, ... whose band above 2/(p+1) of its
+Nyquist holds nothing of the datum's or the solution's spectrum, and each
+block is zero-padded to the reference grid.  The mass and smoothing
+experiments reach the linear flow only through the solver: each datum
+evolves under the memory propagator E_beta(i^{-beta} t^beta mu) of a
+linear solve.  The smoothing experiment evolves Nyquist wave packets and
+compares the growth of the smoothing quotient with and without the
+interpolation filter: unfiltered packets resonate at the symbol's
+critical point while filtered ones stay h-uniform.
 """
 
 from __future__ import annotations
@@ -29,12 +29,15 @@ from functools import partial
 import numpy as np
 
 from .lattice import (
+    _NORM_ROWS,
     LatticeField,
     LatticeGrid,
     discretize,
     filter_pi,
-    interp_linear,
-    lambda_norm,
+    interp_linear,  # unused here; perfbench/tracer.py wraps it
+    interp_rows,
+    lambda_norm,  # unused here; perfbench/tracer.py wraps it
+    lambda_pass,
     norm_lp,
     norm_smoothing,
     norm_sobolev,  # unused here; perfbench/tracer.py wraps it
@@ -342,20 +345,35 @@ def run_smoothing_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _trajectory_errors(
-    traj: SolutionTrajectory,
-    ref: SolutionTrajectory,
-    params: ModelParams,
-) -> tuple[float, float, float]:
-    """sup_t H^s, sup_t L^2 and Lambda_T distances on the reference grid.
+def _reference_rows(ref: SolutionTrajectory, datum: LatticeField, lo: int, hi: int) -> np.ndarray:
+    """Nodes lo:hi of the reference on datum's grid: ref's own rows there, or
+    ref's spectra zero-padded from its solve mesh, with row 0 datum itself."""
+    if ref.grid.n_points == datum.grid.n_points:
+        return ref.values[lo:hi]
+    half = ref.grid.n_points // 2
+    spectra = datum.grid.n_points // ref.grid.n_points * np.fft.fft(ref.values[lo:hi], axis=-1)
+    padded = np.zeros((len(spectra), datum.grid.n_points), dtype=np.complex128)
+    padded[:, :half], padded[:, -half:] = spectra[:, :half], spectra[:, half:]
+    padded = np.fft.ifft(padded, axis=-1, out=padded)
+    if lo == 0:
+        padded[0] = datum.values
+    return padded
 
-    The sup_t H^s distance is the energy part eta2 of Lambda_T.
-    """
-    fine = interp_linear(traj, ref.grid)
-    diff = SolutionTrajectory(timegrid=ref.timegrid, grid=ref.grid, values=fine.values - ref.values)
-    rep = lambda_norm(diff, params)
-    err_l2 = float(np.sqrt(ref.grid.h * np.sum(np.abs(diff.values) ** 2, axis=-1)).max())
-    return rep.eta2, err_l2, rep.lam
+
+def _trajectory_errors(traj, ref, datum: LatticeField, params) -> tuple[float, float, float]:
+    """sup_t H^s (eta2 of Lambda_T), sup_t L^2 and Lambda_T distances on datum's
+    grid, _NORM_ROWS nodes at a time: no (nodes, sites) array of that grid exists."""
+    fine, l2 = datum.grid, []
+
+    def blocks():
+        for lo in range(0, len(traj.values), _NORM_ROWS):
+            diff = interp_rows(traj.values[lo : lo + _NORM_ROWS], traj.grid, fine)
+            diff -= _reference_rows(ref, datum, lo, lo + _NORM_ROWS)
+            l2.append(np.sqrt(fine.h * np.sum(np.abs(diff) ** 2, axis=-1)).max())
+            yield diff, np.fft.fft(diff, axis=-1)
+
+    rep = lambda_pass(blocks(), fine, ref.times, params.delta, params.s, 2.0 * (params.p - 1))
+    return rep.eta2, float(np.max(l2)), rep.lam
 
 
 def check_h_ref(h_list, h_ref: float) -> None:
@@ -381,22 +399,16 @@ def _resolved(spectra: np.ndarray, grid: LatticeGrid, H: float, p: int) -> bool:
 
 def _padded_reference(params, datum: LatticeField, H: float, tg: TimeGrid, **kw):
     """(reference, solve mesh): the continuum reference from datum, solved on
-    the sites of mesh H and zero-padded to datum's grid, with row 0 datum
-    itself; solved again on datum's grid when its spectrum is not resolved."""
+    the sites of mesh H, whose spectra _reference_rows zero-pads to datum's
+    grid; solved again on datum's grid when its spectrum is not resolved."""
     fine = datum.grid
     if H != fine.h:
         grid = grid_for(fine.extent, H)
         r = fine.n_points // grid.n_points
         traj = solve_continuum_reference(params, grid, tg, None,
                                          initial_field=LatticeField(grid, datum.values[::r]), **kw)
-        spectra = r * np.fft.fft(traj.values, axis=-1)
-        if _resolved(spectra, grid, H, params.p):
-            half = grid.n_points // 2
-            padded = np.zeros((len(spectra), fine.n_points), dtype=np.complex128)
-            padded[:, :half], padded[:, -half:] = spectra[:, :half], spectra[:, half:]
-            padded = np.fft.ifft(padded, axis=-1, out=padded)
-            padded[0] = datum.values
-            return SolutionTrajectory(tg, fine, padded, traj.residuals), H
+        if _resolved(r * np.fft.fft(traj.values, axis=-1), grid, H, params.p):
+            return traj, H
     return solve_continuum_reference(params, fine, tg, None, initial_field=datum, **kw), fine.h
 
 
@@ -428,8 +440,9 @@ def run_continuum_study(
     once (past double range: NonContractionError before any solve).  The
     reference is solved from its values on the sites of the coarsest H of
     min(h_list), min/2, ..., h_ref whose band |xi|/H > 2 pi/((p+1) H) the
-    datum's spectrum resolves (_resolved), then zero-padded to h_ref; once
-    more at h_ref if its solution's fails that test.  ref_solve_h names H.
+    datum's spectrum resolves (_resolved), once more at h_ref if its
+    solution's fails that test; ref_solve_h names H.  The errors zero-pad
+    it to h_ref and measure there, a block of _NORM_ROWS nodes at a time.
     """
     h_list = sorted(h_list, reverse=True)
     check_h_ref(h_list, h_ref)
@@ -467,7 +480,7 @@ def run_continuum_study(
         message = f"no contracting horizon found down to T = {T_used:g}: {cause}"
         raise NonContractionError(message, []) from error
 
-    err_s, err_l2, err_lam = zip(*(_trajectory_errors(traj, ref, params) for traj in trajs))
+    err_s, err_l2, err_lam = zip(*(_trajectory_errors(traj, ref, datum, params) for traj in trajs))
     positive = all(e > 0.0 for e in err_s) and len(err_s) >= 3
     order = fit_order(zip(h_list, err_s)) if positive else float("nan")
     monotone = all(a > b for a, b in zip(err_s, err_s[1:]))

@@ -155,24 +155,26 @@ def restrict(fine: LatticeField) -> LatticeField:
     return LatticeField(grid=coarse, values=fine.values[::2].copy())
 
 
+def interp_rows(u: np.ndarray, grid: LatticeGrid, query_grid: LatticeGrid) -> np.ndarray:
+    """p_h u of each row of u, a field on grid, sampled on a nested finer query_grid."""
+    ratio = grid.h / query_grid.h
+    r = int(round(ratio))
+    if r < 1 or abs(ratio - r) > 1e-9 * ratio:
+        raise GridMismatchError(f"query mesh must refine the field mesh: ratio {ratio}")
+    if query_grid.n_points != r * grid.n_points:
+        raise GridMismatchError("query grid extent does not match the field grid")
+    slope = np.roll(u, -1, axis=-1) - u  # forward difference times h
+    frac = np.arange(r) / r
+    return (u[..., :, None] + slope[..., :, None] * frac).reshape(*u.shape[:-1], -1)
+
+
 def interp_linear(field, query_grid: LatticeGrid):
     """Piecewise-linear interpolation p_h u sampled on a nested finer grid.
 
     ``field`` is a LatticeField, or a SolutionTrajectory whose nodes are
     all interpolated at once; the result is of the same type on query_grid.
     """
-    h, qh = field.grid.h, query_grid.h
-    ratio = h / qh
-    r = int(round(ratio))
-    if r < 1 or abs(ratio - r) > 1e-9 * ratio:
-        raise GridMismatchError(f"query mesh must refine the field mesh: ratio {ratio}")
-    if query_grid.n_points != r * field.grid.n_points:
-        raise GridMismatchError("query grid extent does not match the field grid")
-    u = field.values
-    slope = np.roll(u, -1, axis=-1) - u  # forward difference times h
-    frac = np.arange(r) / r
-    out = (u[..., :, None] + slope[..., :, None] * frac).reshape(*u.shape[:-1], -1)
-    return replace(field, grid=query_grid, values=out)
+    return replace(field, grid=query_grid, values=interp_rows(field.values, field.grid, query_grid))
 
 
 def interp_multiplier(h: float, xi):
@@ -232,28 +234,44 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-# nodes per block of the eta1, eta2 and eta3 passes: their temporaries stay a
+# nodes per block of the eta1, eta2 and eta3 pass: its temporaries stay a
 # few (_NORM_ROWS, sites) arrays, whatever the number of nodes
 _NORM_ROWS = 32
 
 
-def _smoothing(coeffs: np.ndarray, grid: LatticeGrid, times: np.ndarray, delta: float) -> float:
-    """norm_smoothing from the (nodes, sites) DFT coefficients of a trajectory."""
+def _node_blocks(traj, spectrum: np.ndarray | None = None):
+    """Consecutive (values, DFT coefficients) blocks of _NORM_ROWS nodes of a
+    SolutionTrajectory; spectrum, fft(traj.values, axis=-1), if already held."""
+    coeffs = np.fft.fft(traj.values, axis=-1) if spectrum is None else spectrum
+    for lo in range(0, len(coeffs), _NORM_ROWS):
+        yield traj.values[lo : lo + _NORM_ROWS], coeffs[lo : lo + _NORM_ROWS]
+
+
+def lambda_pass(blocks, grid: LatticeGrid, times, delta: float, s: float, q: float) -> NormReport:
+    """eta1 (smoothing exponent delta), eta2 (sup_t H^s) and eta3 (L^q_h L^inf_T)
+    in one pass over consecutive (values, DFT coefficients) blocks of nodes."""
     mult = (1.0 + np.abs(grid.freqs()) / grid.h) ** delta
     tw = _trapezoid_weights(np.asarray(times, dtype=float))
     # the time integral per site, carried as row 0 of each block: a sum
     # over axis 0 adds rows in order, so the blocks add up exactly as one
     # sum over every node would
-    acc = np.zeros(grid.n_points)
-    buf = np.empty((min(_NORM_ROWS, len(coeffs)) + 1, grid.n_points))
-    for lo in range(0, len(coeffs), _NORM_ROWS):
-        v = coeffs[lo : lo + _NORM_ROWS] * mult
+    acc, sup = np.zeros(grid.n_points), np.zeros(grid.n_points)
+    sobolev, lo = [], 0
+    for values, coeffs in blocks:
+        sobolev.append(_sobolev_squares(coeffs, grid, s).max())
+        np.maximum(sup, np.abs(values).max(axis=0), out=sup)
+        v = coeffs * mult
+        # dropped once read: a streamed caller builds the next block meanwhile
+        del values, coeffs
         np.fft.ifft(v, axis=-1, out=v)
-        w = buf[: len(v) + 1]
+        w = np.empty((len(v) + 1, grid.n_points))
         w[0] = acc
         np.multiply(tw[lo : lo + len(v), None], np.abs(v) ** 2, out=w[1:])
         np.sum(w, axis=0, out=acc)
-    return float(np.sqrt(acc.max()))
+        lo += len(v)
+        del v, w
+    eta3 = norm_lp(LatticeField(grid=grid, values=sup.astype(np.complex128)), q)
+    return NormReport(eta1=float(np.sqrt(acc.max())), eta2=float(np.sqrt(max(sobolev))), eta3=eta3)
 
 
 def norm_smoothing(traj, delta: float) -> float:
@@ -262,40 +280,29 @@ def norm_smoothing(traj, delta: float) -> float:
     Per node the spectral multiplier (1 + |xi|/h)^delta is applied,
     then the time-L^2 per site (trapezoid rule), then the sup over sites.
     """
-    return _smoothing(np.fft.fft(traj.values, axis=-1), traj.grid, traj.times, delta)
+    return lambda_pass(_node_blocks(traj), traj.grid, traj.times, delta, 0.0, 2.0).eta1
 
 
 def norm_maximal(traj, q: float) -> float:
     """|| u ||_{L^q_h L^inf_T} of a SolutionTrajectory: per-site sup over time, then L^q_h."""
-    sup = np.zeros(traj.grid.n_points)
-    for lo in range(0, len(traj.values), _NORM_ROWS):
-        np.maximum(sup, np.abs(traj.values[lo : lo + _NORM_ROWS]).max(axis=0), out=sup)
-    return norm_lp(LatticeField(grid=traj.grid, values=sup.astype(np.complex128)), q)
+    return lambda_pass(_node_blocks(traj), traj.grid, traj.times, 0.0, 0.0, q).eta3
 
 
 def lambda_norm(traj, params, *, spectrum: np.ndarray | None = None) -> NormReport:
     """Contraction norm of a SolutionTrajectory.
 
     eta1 smoothing (exponent params.delta = s+sigma-alpha), eta2 energy sup_t H^s,
-    eta3 maximal; one batched DFT of the nodes serves eta1 and eta2.  All
-    three run over blocks of _NORM_ROWS nodes.
-    ``spectrum`` may pass that DFT in, fft(traj.values, axis=-1), when the
-    caller already holds it.
+    eta3 maximal, all three taken by lambda_pass over blocks of _NORM_ROWS
+    nodes; one batched DFT of the nodes serves eta1 and eta2.  ``spectrum``
+    may pass it in, fft(traj.values, axis=-1), when the caller holds it.
 
     Each eta is a sup or an l^q over the sites of a per-site quantity, and
     the DFT of a cyclically rolled field differs only by a unimodular
     factor per mode, so the report is unchanged by a cyclic roll of the
     sites.
     """
-    coeffs = np.fft.fft(traj.values, axis=-1) if spectrum is None else spectrum
-    eta1 = _smoothing(coeffs, traj.grid, traj.times, params.delta)
-    eta2_sq = max(
-        _sobolev_squares(coeffs[lo : lo + _NORM_ROWS], traj.grid, params.s).max()
-        for lo in range(0, len(coeffs), _NORM_ROWS)
-    )
-    eta2 = float(np.sqrt(eta2_sq))
-    eta3 = norm_maximal(traj, 2.0 * (params.p - 1))
-    return NormReport(eta1=eta1, eta2=eta2, eta3=eta3)
+    return lambda_pass(_node_blocks(traj, spectrum), traj.grid, traj.times,
+                       params.delta, params.s, 2.0 * (params.p - 1))
 
 
 # ---------------------------------------------------------------------------

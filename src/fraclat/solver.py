@@ -262,10 +262,10 @@ def _duhamel_nodes(timegrid: TimeGrid, beta: float, n_nodes: int = 8):
     return taus, wfac, phi_a
 
 
-# points per ml_ee_grid call in _duhamel_weight_blocks: the radii and the
-# evaluator's temporaries take about 74 bytes a point, so a call holds
-# under 20 MB
-_ML_POINTS = 1 << 18
+# points per ml_ee_grid call in _duhamel_weight_blocks, about 74 bytes each: a
+# quarter of the (nodes, sites) elements of a 257-node, 1024-site solve, so
+# that building the kernel peaks below the Picard sweeps
+_ML_POINTS = 1 << 16
 
 
 def _duhamel_weight_blocks(timegrid: TimeGrid, mus: np.ndarray, params: ModelParams):

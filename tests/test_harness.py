@@ -1,6 +1,7 @@
 """Experiment plumbing: order fitting, reports, quick experiment smoke runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +26,12 @@ from fraclat.lattice import (
     LatticeGrid,
     discretize,
     filter_pi,
+    interp_linear,
+    lambda_norm,
     norm_lp,
     norm_smoothing,
 )
+from fraclat.lattice import _NORM_ROWS
 from fraclat.solver import (
     ModelParams,
     NonContractionError,
@@ -288,9 +292,9 @@ def spy_reference(monkeypatch):
         seen["solves"].append((grid.h, kw.get("initial_field") is not None, traj))
         return traj
 
-    def errors(traj, ref, params):
+    def errors(traj, ref, datum, params):
         seen["ref"].append(ref)
-        return _trajectory_errors(traj, ref, params)
+        return _trajectory_errors(traj, ref, datum, params)
 
     monkeypatch.setattr(harness, "solve_continuum_reference", solve_ref)
     monkeypatch.setattr(harness, "_trajectory_errors", errors)
@@ -312,10 +316,14 @@ class TestPaddedReference:
         assert rep["ref_solve_h"] == 0.1 and rep["T_used"] == 0.1
         assert [(h, given) for h, given, _ in seen["solves"]] == [(0.1, True)]
         ref = seen["ref"][0]
+        assert ref is seen["solves"][0][2]  # the errors read the solve on its own mesh
         full = solve_continuum_reference(SHRINK_PARAMS, grid_for(25.6, 0.025), ref.timegrid, f)
-        assert np.array_equal(ref.values[0], full.values[0])  # row 0 is the datum
+        datum = discretize(f, full.grid)
+        # every node padded to h_ref by the rows the errors read
+        padded = harness._reference_rows(ref, datum, 0, len(ref.values))
+        assert np.array_equal(padded[0], full.values[0])  # row 0 is the datum
         l2 = lambda v: np.sqrt(np.sum(np.abs(v) ** 2, axis=-1)).max()
-        assert l2(ref.values - full.values) <= 1e-13 * l2(full.values)
+        assert l2(padded - full.values) <= 1e-13 * l2(full.values)
         assert len(ref.residuals) == len(full.residuals)
 
     @pytest.mark.parametrize("f, kw", [
@@ -366,6 +374,67 @@ class TestPaddedReference:
             run_continuum_study(SHRINK_PARAMS, *SHRINK_MESHES, gaussian_profile(amplitude=1.7e308),
                                 **SHRINK_KW)
         assert seen["solves"] == []
+
+
+def whole_array_errors(traj, ref, datum, params):
+    """The distances from (nodes, h_ref sites) arrays: every node of the
+    reference padded at once, the lattice trajectory interpolated at once."""
+    fine = datum.grid
+    if ref.grid.n_points != fine.n_points:
+        r, half = fine.n_points // ref.grid.n_points, ref.grid.n_points // 2
+        spectra = r * np.fft.fft(ref.values, axis=-1)
+        padded = np.zeros((len(spectra), fine.n_points), dtype=np.complex128)
+        padded[:, :half], padded[:, -half:] = spectra[:, :half], spectra[:, half:]
+        padded = np.fft.ifft(padded, axis=-1, out=padded)
+        padded[0] = datum.values
+        ref = SolutionTrajectory(ref.timegrid, fine, padded, ref.residuals)
+    diff = SolutionTrajectory(ref.timegrid, fine, interp_linear(traj, fine).values - ref.values)
+    rep = lambda_norm(diff, params)
+    err_l2 = float(np.sqrt(fine.h * np.sum(np.abs(diff.values) ** 2, axis=-1)).max())
+    return rep.eta2, err_l2, rep.lam
+
+
+def error_study(m_steps, extent, h, H, h_ref, **kw):
+    """(lattice solve at h, reference solved at H from the h_ref datum, datum)."""
+    f = gaussian_profile(amplitude=0.8)
+    tg = TimeGrid(T=0.1, m_steps=m_steps)
+    datum = discretize(f, grid_for(extent, h_ref))
+    grid = grid_for(extent, H)
+    ref = solve_continuum_reference(SHRINK_PARAMS, grid, tg, None, **kw, initial_field=LatticeField(
+        grid, datum.values[:: datum.grid.n_points // grid.n_points]))
+    return solve(SHRINK_PARAMS, grid_for(extent, h), tg, f, **kw), ref, datum
+
+
+class TestStreamedErrors:
+    @pytest.mark.parametrize("H", [0.1, 0.025], ids=["padded", "h_ref"])
+    def test_blocks_keep_every_bit_of_the_whole_array_formula(self, H):
+        # 71 nodes: two full blocks of _NORM_ROWS and a partial third
+        traj, ref, datum = error_study(70, 12.8, 0.2, H, 0.025)
+        assert len(traj.values) > 2 * _NORM_ROWS and len(traj.values) % _NORM_ROWS
+        streamed = harness._trajectory_errors(traj, ref, datum, SHRINK_PARAMS)
+        assert streamed == whole_array_errors(traj, ref, datum, SHRINK_PARAMS)
+
+    def test_grids_that_do_not_nest_raise(self):
+        traj, ref, _ = error_study(8, 12.8, 0.2, 0.1, 0.025)
+        datum = discretize(gaussian_profile(), grid_for(25.6, 0.025))
+        with pytest.raises(GridMismatchError, match="query grid extent"):
+            harness._trajectory_errors(traj, ref, datum, SHRINK_PARAMS)
+
+    def test_heap_peak_below_half_an_array(self):
+        # 513 nodes: a block of _NORM_ROWS is 1/16 of a (nodes, h_ref sites)
+        # array.  The whole-array formula peaked at 3.2 such arrays, with the
+        # padded reference built before the call; streamed, the peak is a few
+        # blocks (0.21 arrays, 3.5 MB), whatever the number of nodes
+        traj, ref, datum = error_study(512, 25.6, 0.1, 0.05, 0.0125, nonlinear=False)
+        harness._trajectory_errors(traj, ref, datum, SHRINK_PARAMS)  # warm the FFT plans
+        array = 16 * len(traj.values) * datum.grid.n_points
+        tracemalloc.start()
+        try:
+            harness._trajectory_errors(traj, ref, datum, SHRINK_PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * array, f"{peak / array:.2f} arrays"
 
 
 class TestGridFor:

@@ -20,6 +20,7 @@ from fraclat.lattice import (
     interp_linear,
     interp_multiplier,
     lambda_norm,
+    lambda_pass,
     norm_lp,
     norm_maximal,
     norm_smoothing,
@@ -437,6 +438,19 @@ class TestMixedNorms:
         sup = np.abs(values).max(axis=0)
         ref = norm_lp(LatticeField(grid=g, values=sup.astype(np.complex128)), 4.0)
         assert norm_maximal(SolutionTrajectory(timegrid=tg, grid=g, values=values), 4.0) == ref
+
+    def test_lambda_pass_over_uneven_blocks_equals_lambda_norm(self):
+        params = ModelParams(alpha=1.5, beta=0.85)
+        g = LatticeGrid(h=0.2, n_points=32)
+        rng = np.random.default_rng(15)
+        values = rng.normal(size=(70, 32)) + 1j * rng.normal(size=(70, 32))
+        traj = SolutionTrajectory(timegrid=TimeGrid(T=1.0, m_steps=69), grid=g, values=values)
+        coeffs = np.fft.fft(values, axis=-1)
+        q = 2.0 * (params.p - 1)
+        for cuts in ([0, 5, 37, 38, 70], [0, 70]):
+            blocks = [(values[a:b], coeffs[a:b]) for a, b in zip(cuts, cuts[1:])]
+            rep = lambda_pass(blocks, g, traj.times, params.delta, params.s, q)
+            assert rep == lambda_norm(traj, params), cuts
 
     def test_lambda_zero(self):
         g = LatticeGrid(h=0.2, n_points=16)
