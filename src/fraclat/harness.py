@@ -522,8 +522,8 @@ ML_R_MAX = 50.0
 # the smallest beta at r_max, takes 471 digits on the committed config at
 # beta = 0.598 (the benchmark moves each beta by up to 0.002) and 1201 at
 # beta = 0.6, r_max = 100, where two radii ran for 120 s.  On a 2-core box
-# the first point, which builds the Gamma table, took 7 s at 471 digits and
-# 11 s at 610.
+# the first point, which builds the Gamma table, took 3 s at 471 digits and
+# 7-8 s at 610 (beta = 0.6, r = 62).
 ORACLE_DIGIT_BUDGET = 600
 
 
@@ -557,8 +557,7 @@ def run_ml_check(
         # every later point reuses it
         for r in np.linspace(0.0, r_max, n_radii)[::-1]:
             z = complex(r) * cmath.exp(-1j * beta * math.pi / 2.0)
-            ref_e = ml_oracle(beta, z, 1.0, digits=_ORACLE_DIGITS)
-            ref_ee = ml_oracle(beta, z, beta, digits=_ORACLE_DIGITS)
+            ref_e, ref_ee = ml_oracle(beta, z, (1.0, beta), digits=_ORACLE_DIGITS)
             worst_e = max(worst_e, abs(ml_e(beta, z) - ref_e) / abs(ref_e))
             worst_ee = max(worst_ee, abs(ml_ee(beta, z) - ref_ee) / abs(ref_ee))
             sup_e = max(sup_e, abs(ref_e))

@@ -40,7 +40,10 @@ not for the worst one.
 
 ``ml_oracle`` sums the series in arbitrary precision: fixed-point Python
 integers, with mpmath only for its cached reciprocal-Gamma coefficients.
-It is the test suite's independent reference; no evaluator calls it.
+Each coefficient holds only the bits its terms need, full precision near the
+peak of |z|^k/Gamma(b*k) and fewer before and past it, and one pass over
+the shared table sums E_b and E_{b,b} together.  It is the test suite's
+independent reference; no evaluator calls it.
 """
 
 from __future__ import annotations
@@ -71,38 +74,97 @@ class MLOverflowError(OverflowError):
 # every update of the Gamma cache runs under this lock.  The summation needs
 # none: it works on Python integers and on table lists never modified.
 _MP_LOCK = threading.Lock()
-_MP_RGAMMA_CACHE: dict[tuple[float, float], tuple[int, list]] = {}
+# (beta, gam) -> (radius, digits, table): the largest |z| and digit count it serves
+_MP_RGAMMA_CACHE: dict[tuple[float, float], tuple[float, int, list]] = {}
 _RGAMMA_STEP = 256
 _ORACLE_TERM_CAP = 200_000
 _GUARD_BITS = 32  # fixed-point bits of the oracle below its float floor
 
 
-def _mp_rgamma_table(beta: float, gam: float, dps: int, upto: int) -> list:
-    """Cached reciprocals 1/Gamma(beta*k + gam), k = 0..n-1 with n >= upto.
+def _binary_prec(dps: int) -> int:
+    """mpmath's binary precision at dps decimal digits."""
+    return round((dps + 1) * math.log2(10.0))
+
+
+def _entry_bits(beta: float, gam: float, radius: float, top: int, ks: range) -> list[int]:
+    """Bits p_k of the entries 1/Gamma(beta*k + gam), k in ks, of a table with top precision P.
+
+    p_k = P - (rho/ln 2 - L_k) + G, rounded up to a multiple of 64 and
+    clamped to [64, P], with rho = radius^{1/beta},
+    L_k = k log2(radius) - lgamma(beta*k + gam)/ln 2 and
+    G = _GUARD_BITS + log2(radius) + 8; P itself where beta*k + gam <= 0 or
+    radius <= 1.  _mp_rgamma_table states the error bound this rule keeps.
+    """
+    if radius <= 1.0:
+        return [top] * len(ks)
+    log2r = math.log2(radius)
+    lift = top - radius ** (1.0 / beta) / math.log(2.0) + _GUARD_BITS + log2r + 8
+    bits = []
+    for k in ks:
+        x = beta * k + gam
+        p = lift + k * log2r - math.lgamma(x) / math.log(2.0) if x > 0.0 else top
+        bits.append(min(max(64 * math.ceil(p / 64), 64), top))
+    return bits
+
+
+def _mp_rgamma_table(beta: float, gam: float, radius: float, digits: int, upto: int) -> list:
+    """Cached reciprocals 1/Gamma(beta*k + gam), k = 0..n-1 with n >= upto, for |z| <= radius.
 
     The cache holds reciprocals, as mpf tuples (sign, mantissa, exponent,
     bit count), so that each series term costs a multiply, not a divide.
     It keeps one table per beta, keyed (beta, 0): g_k = 1/Gamma(beta*k),
     from which _ml_series_mp reads both propagator multipliers, E_beta and
-    E_{beta,beta}.  Any other gam keeps a table of its own.  A table is
-    kept at the highest precision requested so far (extra digits are
-    harmless to lower-precision summations) and grows in fixed steps of
-    _RGAMMA_STEP entries.  New entries go into a fresh list that replaces
-    the cached one in a single assignment under _MP_LOCK, so a list once
-    handed out is never modified.
+    E_{beta,beta}.  Any other gam keeps a table of its own.
+
+    A table built for (R, D) serves every call with |z| <= R and digits
+    <= D.  Its top precision P is _series_dps(beta, R, D) in bits, but entry
+    k holds only the p_k bits of _entry_bits.  With rho = R^{1/beta} and
+    L_k = k log2 R - lgamma(beta*k + gam)/ln 2, the term u = g_k z^{k-1}
+    (z^k/Gamma(beta*k + gam) for another gam) that entry k gives is at most
+    2^{L_k}, and E_beta's term is u z/(beta k), at most 2^{L_k} R/beta.  An
+    entry below P rounds within an ulp, 2^{1 - p_k} relative, so it moves
+    either sum by at most 2^{1 + L_k - p_k} R/beta <= 2^{1 + rho/ln 2 - P - G} R/beta.
+    The floor in _series_dps can make P - rho/ln 2 up to 5 bits smaller at
+    (R, D) than at a call's own (|z|, digits), while L_k and G only grow
+    with R.  So with G = _GUARD_BITS + log2 R + 8 the n entries below P
+    move either sum by at most n 2^{-34}/beta of the call's float floor
+    2^{-P} e^rho: under 2^{-15} of it for n <= _ORACLE_TERM_CAP and
+    beta >= 1/2.  The largest term is at least e^rho/4, so that floor is
+    within a factor 4 of the rounding the P-bit peak entry alone carries.
+    The entries near the terms' peak keep P bits; those before and past it
+    fall towards 64.
+
+    A call that needs a larger radius or more digits rebuilds the table at
+    the maximum of both, since every p_k only grows with them; otherwise
+    the table grows in fixed steps of _RGAMMA_STEP entries.  The arguments
+    beta*k + gam are formed at P bits, which holds them exactly (mpmath
+    reads every bit of an argument).  A fresh table reaches past the terms'
+    peak near k = rho/beta at once, and each step builds its entries from
+    the most precise down, so that mpmath fills its Taylor and zeta caches
+    once, at the top precision.  New entries go into a fresh list that
+    replaces the cached one in a single assignment under _MP_LOCK, so a
+    list once handed out is never modified.
     """
     key = (beta, gam)
+    radius = max(radius, 1.0)  # every p_k is P up to radius 1, so one table serves them all
     with _MP_LOCK:
-        built_dps, table = _MP_RGAMMA_CACHE.get(key, (0, []))
-        if dps > built_dps:
-            built_dps, table = dps, []
+        built_r, built_d, table = _MP_RGAMMA_CACHE.get(key, (0.0, 0, []))
+        if radius > built_r or digits > built_d:
+            built_r, built_d, table = max(radius, built_r), max(digits, built_d), []
+            if built_r > 1.0:  # a fresh table reaches past the terms' peak, k = rho/beta
+                upto = max(upto, int(built_r ** (1.0 / beta) / beta) + 1)
         if len(table) < upto:
-            n = len(table) + _RGAMMA_STEP * -(-(upto - len(table)) // _RGAMMA_STEP)
-            with mp.workdps(built_dps):
-                bb = mp.mpf(beta)
-                gg = mp.mpf(gam)
-                table = table + [mp.rgamma(bb * k + gg)._mpf_ for k in range(len(table), n)]
-            _MP_RGAMMA_CACHE[key] = (built_dps, table)
+            ks = range(len(table), len(table) + _RGAMMA_STEP * -(-(upto - len(table)) // _RGAMMA_STEP))
+            top = _binary_prec(_series_dps(beta, built_r, built_d))
+            bits = _entry_bits(beta, gam, built_r, top, ks)
+            with mp.workprec(top):
+                args = [mp.mpf(beta) * k + mp.mpf(gam) for k in ks]
+            new = [None] * len(ks)
+            for i in sorted(range(len(ks)), key=bits.__getitem__, reverse=True):
+                with mp.workprec(bits[i]):
+                    new[i] = mp.rgamma(args[i])._mpf_
+            table = table + new
+            _MP_RGAMMA_CACHE[key] = (built_r, built_d, table)
         return table
 
 
@@ -116,11 +178,12 @@ def _series_dps(beta: float, absz: float, digits: int) -> int:
     return int(digits + 1.15 * x / math.log(10.0) + 25)
 
 
-def _ml_series_mp(beta: float, gam: float, z: complex, digits: int) -> complex:
-    """Defining power series summed in fixed point with Python integers.
+def _ml_series_mp(beta: float, gams: tuple, z: complex, digits: int) -> tuple[complex, ...]:
+    """Defining power series of E_{beta,gam}, gam in gams, summed in fixed point with Python integers.
 
-    With eps = 10^{-digits} and s the partial sum, terms t are added until
-    ten consecutive ones pass the sup-norm test
+    gams is (1.0,), (beta,), (1.0, beta) or (gam,); the values come back in
+    its order.  With eps = 10^{-digits} and s the partial sum, terms t are
+    added until ten consecutive ones pass the sup-norm test
 
         2 max(|Re t|, |Im t|) <= eps (max(|Re s|, |Im s|) + eps),
 
@@ -133,57 +196,62 @@ def _ml_series_mp(beta: float, gam: float, z: complex, digits: int) -> complex:
     The loop runs on Python integers.  z^k is a pair of P-bit mantissas
     (P the binary precision of _series_dps) with a shared exponent, taken
     from z's doubles exactly and renormalised after each Gauss product.
-    Terms and partial sum are integers in units of 2^{-F}.  The partial sums
-    peak near e^rho, rho = |z|^{1/beta}, so F = P - rho/ln 2 + _GUARD_BITS
+    Terms and partial sums are integers in units of 2^{-F}.  The partial
+    sums peak near e^rho, rho = |z|^{1/beta}, so F = P - rho/ln 2 + _GUARD_BITS
     lies below the absolute floor 2^{-P} e^rho of a P-bit float sum; a
     |z| < 1 adds -log2|z| bits, so that a tiny z keeps its first-order term.
 
     Coefficients are reciprocals from _mp_rgamma_table.  gam = beta and
-    gam = 1 share the table g_k = 1/Gamma(beta*k) of their beta, through
-    1/Gamma(beta*k + beta) = g_{k+1} and 1/Gamma(beta*k + 1) = g_k/(beta*k).
-    The first is exact; the second divides g_k's mantissa, shifted to keep
-    P bits whatever its length, by k times beta's 53-bit integer mantissa.
-    Any other gam uses a table of its own.
+    gam = 1 share the table g_k = 1/Gamma(beta*k) of their beta, and one
+    pass serves both: it forms u_k = g_{k+1} z^k once per k.  E_{beta,beta}
+    adds u_k, since 1/Gamma(beta*k + beta) = g_{k+1}.  E_beta is
+    1 + sum_k u_k z/(beta (k+1)), since 1/Gamma(beta*k + 1) = g_k/(beta*k):
+    its term is u_k times z's integer mantissas, shifted, and floor-divided
+    by (k+1) times beta's integer numerator.  Each sum keeps its own count
+    of quiet terms and stops adding at its own point; the loop ends when
+    both have stopped.  At beta = 1 the two are one function, E_1, summed
+    as E_{1,1}.  Any other gam sums u_k = z^k/Gamma(beta*k + gam) from a
+    table of its own.
     """
     absz = abs(z)
     dps = _series_dps(beta, absz, digits)
-    prec = round((dps + 1) * math.log2(10.0))  # mpmath's binary precision at dps
+    prec = _binary_prec(dps)
     fbits = prec - math.ceil(absz ** (1.0 / beta) / math.log(2.0)) + _GUARD_BITS
     fbits += max(0, -math.frexp(absz)[1])
-    if gam == beta:
-        base, off, div = 0.0, 1, False
-    elif gam == 1.0:
-        base, off, div = 0.0, 0, True
+    if all(g in (1.0, beta) for g in gams):
+        base, off, plain, with_e = 0.0, 1, beta in gams, beta != 1.0 and 1.0 in gams
     else:
-        base, off, div = gam, 0, False
+        base, off, plain, with_e = gams[0], 0, True, False
     # z = (x + iy) 2^zexp with integers x, y, exactly
     (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
     den = max(xd, yd)
     x, y, zexp = xn * (den // xd), yn * (den // yd), 1 - den.bit_length()
     xpy, ymx = x + y, y - x
+    # E_beta's term k+1 is u_k (x + iy) 2^{zexp} bden/((k+1) bnum), bden a power of 2
     bnum, bden = beta.as_integer_ratio()
-    bexp = bden.bit_length() - 1
-    # the stop test in units of 2^{-F}: 2 10^digits sup|t| <= sup|s| + floor
+    eexp = zexp + bden.bit_length() - 1
+    eshift, ediv = max(eexp, 0), bnum << max(-eexp, 0)
     tenpow2 = 2 * 10**digits
     tenshift = tenpow2.bit_length() - 1
     floor = (1 << fbits) // 10**digits
+
+    def quiet(tr: int, ti: int, sr: int, si: int) -> bool:
+        # the stop test in units of 2^{-F}: 2 10^digits sup|t| <= sup|s| + floor
+        tsup, lim = max(abs(tr), abs(ti)), max(abs(sr), abs(si)) + floor
+        return tsup <= lim >> tenshift and tenpow2 * tsup <= lim  # the shift fails most terms
+
     a, b, pexp = 1, 0, 0  # z^k = (a + ib) 2^pexp
-    sr = si = 0
+    sr = si = 0  # the sum of the u_k
+    er, ei = 1 << fbits, 0  # E_beta, from its term 0
+    nquiet = 0 if plain else 10
+    equiet = 0 if with_e else 10
     table: list = []
-    quiet = 0
     for k in range(_ORACLE_TERM_CAP):
         if k + off >= len(table):
-            table = _mp_rgamma_table(beta, base, dps, k + off + 1)
+            table = _mp_rgamma_table(beta, base, absz, digits, k + off + 1)
         sign, man, exp, bc = table[k + off]
-        if bc > prec:  # the table may be kept at a higher precision
+        if bc > prec:  # the table may hold more bits than this call needs
             man, exp, bc = man >> (bc - prec), exp + bc - prec, prec
-        if div:
-            if k:
-                d = k * bnum
-                n = prec + 1 - bc + d.bit_length()
-                man, exp = (man << n) // d, exp - n + bexp
-            else:
-                man, exp = 1, 0
         if sign:
             man = -man
         sh = exp + pexp + fbits
@@ -197,8 +265,20 @@ def _ml_series_mp(beta: float, gam: float, z: complex, digits: int) -> complex:
                 tr, ti = (a >> c) * man >> (-sh - 2 * c), (b >> c) * man >> (-sh - 2 * c)
             else:
                 tr, ti = a * man >> -sh, b * man >> -sh
-        sr += tr
-        si += ti
+        if nquiet < 10:
+            sr += tr
+            si += ti
+            nquiet = nquiet + 1 if quiet(tr, ti, sr, si) else 0
+        if equiet < 10:
+            d = (k + 1) * ediv
+            tr, ti = ((tr * x - ti * y) << eshift) // d, ((tr * y + ti * x) << eshift) // d
+            er += tr
+            ei += ti
+            equiet = equiet + 1 if quiet(tr, ti, er, ei) else 0
+        if nquiet >= 10 and equiet >= 10:
+            s = complex(sr / (1 << fbits), si / (1 << fbits))
+            e = complex(er / (1 << fbits), ei / (1 << fbits)) if with_e else s
+            return tuple(e if g == 1.0 else s for g in gams)
         t1 = x * (a + b)
         a, b = t1 - b * xpy, t1 + a * ymx
         n = max(a.bit_length(), b.bit_length()) - prec
@@ -207,31 +287,41 @@ def _ml_series_mp(beta: float, gam: float, z: complex, digits: int) -> complex:
             b >>= n
             pexp += n
         pexp += zexp
-        tsup, lim = max(abs(tr), abs(ti)), max(abs(sr), abs(si)) + floor
-        if tsup <= lim >> tenshift and tenpow2 * tsup <= lim:  # the shift fails most terms
-            quiet += 1
-            if quiet >= 10:
-                return complex(sr / (1 << fbits), si / (1 << fbits))
-        else:
-            quiet = 0
     raise NonConvergenceError(
         f"Mittag-Leffler series did not settle within {_ORACLE_TERM_CAP} terms "
-        f"(beta={beta}, gam={gam}, |z|={abs(z):.3g})"
+        f"(beta={beta}, gam={gams}, |z|={abs(z):.3g})"
     )
 
 
-def ml_oracle(beta: float, z: complex, second_param: float = 1.0, digits: int = 100) -> complex:
+def ml_oracle(beta: float, z: complex, second_param: float | tuple = 1.0, digits: int = 100):
     """Arbitrary-precision evaluation of E_{beta, second_param}(z).
 
     The reference implementation for tests: the defining power series is
     summed with enough guard digits to survive the sector cancellation,
-    then rounded to double precision.
+    then rounded to double precision.  second_param = (1.0, beta) returns
+    the pair (E_beta(z), E_{beta,beta}(z)) from one pass over the series,
+    each value bit for bit the one its own call returns; a one-entry tuple
+    (gam,) returns (E_{beta,gam}(z),).  A non-finite beta, z or second
+    parameter, or any other tuple, raises ValueError before any table work.
     """
     if digits < 50:
         raise ValueError("ml_oracle: digits must be >= 50")
-    if beta <= 0.0:
-        raise ValueError("ml_oracle: beta must be positive")
-    return _ml_series_mp(beta, second_param, complex(z), digits)
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"ml_oracle: beta must be positive and finite, got {beta!r}")
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"ml_oracle: z must be finite, got {z!r}")
+    gams = second_param if isinstance(second_param, tuple) else (second_param,)
+    for g in gams:
+        if not math.isfinite(g):
+            raise ValueError(f"ml_oracle: second_param must be finite, got {g!r}")
+    if len(gams) != 1 and gams != (1.0, beta):
+        raise ValueError(
+            f"ml_oracle: a tuple second_param is (gam,) or (1.0, beta) = (1.0, {beta!r}), "
+            f"got {second_param!r}"
+        )
+    vals = _ml_series_mp(beta, gams, z, digits)
+    return vals if isinstance(second_param, tuple) else vals[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -139,6 +140,153 @@ class TestMittagLefflerOracle:
         finally:
             sys.setswitchinterval(old)
         assert got == ref
+
+
+class TestOracleInput:
+    # each case names the bad value, and fails before any table work
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            ((0.8, 1.0, math.nan), "nan"),
+            ((0.8, 1.0, math.inf), "inf"),
+            ((0.8, 1.0, (1.0, math.nan)), "nan"),
+            ((0.8, 1.0, (-math.inf,)), "-inf"),
+            ((0.8, math.nan), "nan"),
+            ((0.8, math.inf), "inf"),
+            ((0.8, complex(1.0, -math.inf)), "(1-infj)"),
+            ((0.8, complex(math.nan, 2.0)), "(nan+2j)"),
+            ((math.nan, 1.0), "nan"),
+            ((math.inf, 1.0), "inf"),
+            ((0.8, 1.0, (0.8, 1.0)), "(0.8, 1.0)"),
+            ((0.8, 1.0, (1.0, 0.75)), "(1.0, 0.75)"),
+            ((0.8, 1.0, (1.0, 0.8, 0.8)), "(1.0, 0.8, 0.8)"),
+            ((0.8, 1.0, ()), "()"),
+        ],
+    )
+    def test_rejected_and_named(self, args, named):
+        before = dict(special._MP_RGAMMA_CACHE)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            ml_oracle(*args)
+        assert special._MP_RGAMMA_CACHE == before
+
+    def test_tuple_forms(self):
+        z = RAY(0.8, 9.0)
+        assert ml_oracle(0.8, z, (1.0, 0.8)) == (ml_oracle(0.8, z, 1.0), ml_oracle(0.8, z, 0.8))
+        assert ml_oracle(0.8, z, (1.8,)) == (ml_oracle(0.8, z, 1.8),)
+
+
+def _oracle_on_own_tables(uniform: bool):
+    """ml_oracle on reciprocal-Gamma tables of its own, every entry at the top precision P if uniform."""
+    cache: dict = {}
+
+    def call(beta, z, second_param, digits=100):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(special, "_MP_RGAMMA_CACHE", cache)
+            if uniform:
+                patch.setattr(special, "_entry_bits", lambda beta, gam, radius, top, ks: [top] * len(ks))
+            return ml_oracle(beta, z, second_param, digits)
+
+    call.cache = cache
+    return call
+
+
+@pytest.fixture(scope="module")
+def uniform_oracle():
+    return _oracle_on_own_tables(uniform=True)
+
+
+@pytest.fixture(scope="module")
+def per_entry_oracle():
+    return _oracle_on_own_tables(uniform=False)
+
+
+# the ml-check rays, which leave every table of both oracles built for r_max = 50
+RAY_BETAS = (0.6, 0.598, 0.75, 0.9)
+
+
+@pytest.fixture(scope="module")
+def ray_pairs(per_entry_oracle, uniform_oracle):
+    """{beta: [(per-entry pair, uniform pair)]} on the ml-check ray, 50 radii down from 50."""
+    return {
+        beta: [
+            (per_entry_oracle(beta, z, (1.0, beta)), uniform_oracle(beta, z, (1.0, beta)))
+            for z in (RAY(beta, r) for r in np.linspace(0.0, 50.0, 50)[::-1])
+        ]
+        for beta in RAY_BETAS
+    }
+
+
+class TestEntryPrecision:
+    @pytest.mark.parametrize("beta", RAY_BETAS)
+    def test_ray_matches_uniform_table(self, ray_pairs, beta):
+        for got, ref in ray_pairs[beta]:
+            assert got == ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.sampled_from(RAY_BETAS),
+        r=st.floats(0.0, 50.0),
+        frac=st.floats(-1.0, 1.0),
+    )
+    @example(beta=0.6, r=1e-300, frac=-1.0)
+    @example(beta=0.598, r=1e-6, frac=0.3)
+    @example(beta=0.9, r=0.0, frac=0.0)
+    def test_sector_points_match_uniform_table(self, ray_pairs, per_entry_oracle, uniform_oracle, beta, r, frac):
+        z = complex(r * cmath.exp(1j * frac * beta * math.pi / 2.0))
+        assert per_entry_oracle(beta, z, (1.0, beta)) == uniform_oracle(beta, z, (1.0, beta))
+
+    def test_entries_hold_the_bits_their_terms_need(self, ray_pairs, per_entry_oracle, uniform_oracle):
+        # beta = 0.6, R = 50, 100 digits: the entries near the peak of the
+        # terms 50^k |g_k| hold P bits, those before and past it fewer, each
+        # is good to an ulp of its bits, and their rounding, weighted by the
+        # largest term each entry feeds (2^{L_k} R/beta), stays below the
+        # rounding of the P-bit peak entry
+        beta, radius, digits = 0.6, 50.0, 100
+        top = special._binary_prec(special._series_dps(beta, radius, digits))
+        assert per_entry_oracle.cache[(beta, 0.0)][:2] == (radius, digits)
+        table = per_entry_oracle.cache[(beta, 0.0)][2]
+        uniform = uniform_oracle.cache[(beta, 0.0)][2]
+        assert len(uniform) >= len(table)
+        logterm = [k * math.log2(radius) - math.lgamma(beta * k) / math.log(2.0) for k in range(1, len(table))]
+        peak = 1 + logterm.index(max(logterm))
+        bits = [entry[3] for entry in table]
+        assert top - 8 < bits[peak] <= top
+        assert max(bits[: peak // 2]) < top - 64
+        assert max(bits[2 * peak:]) < top - 64
+        assert sum(bits) < 0.85 * top * len(bits)
+        with mp.workprec(top + 64):
+            # each entry is its value to within an ulp of the bits it was given
+            given = special._entry_bits(beta, 0.0, radius, top, range(len(table)))
+            for a, b, p in zip(table, uniform, given):
+                assert abs(mp.mpf(a) - mp.mpf(b)) <= mp.mpf(2) ** (1 - p) * abs(mp.mpf(b))
+            err = mp.fsum(
+                abs(mp.mpf(a) - mp.mpf(b)) * mp.mpf(radius) ** k
+                for k, (a, b) in enumerate(zip(table, uniform))
+                if k
+            ) * radius / beta
+            assert err <= abs(mp.mpf(table[peak])) * mp.mpf(radius) ** peak * mp.mpf(2) ** -top
+
+
+class TestOraclePair:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        beta=st.floats(0.55, 1.0),
+        r=st.floats(0.0, 40.0),
+        frac=st.floats(-1.0, 1.0),
+    )
+    @example(beta=0.55, r=0.0, frac=0.0)
+    @example(beta=1.0, r=12.0, frac=-1.0)
+    @example(beta=0.55, r=37.0, frac=0.0)  # e^{37^{1/0.55}} ~ e^710 leaves double range
+    def test_pair_equals_single_calls(self, beta, r, frac):
+        z = complex(r * cmath.exp(1j * frac * beta * math.pi / 2.0))
+        try:
+            single = (ml_oracle(beta, z, 1.0, digits=50), ml_oracle(beta, z, beta, digits=50))
+        except OverflowError:
+            # near the positive real axis at small beta the sums pass 1.8e308
+            with pytest.raises(OverflowError):
+                ml_oracle(beta, z, (1.0, beta), digits=50)
+            return
+        assert ml_oracle(beta, z, (1.0, beta), digits=50) == single
 
 
 class TestMlE:
