@@ -557,7 +557,8 @@ def run_ml_check(
         # every later point reuses it
         for r in np.linspace(0.0, r_max, n_radii)[::-1]:
             z = complex(r) * cmath.exp(-1j * beta * math.pi / 2.0)
-            ref_e, ref_ee = ml_oracle(beta, z, (1.0, beta), digits=_ORACLE_DIGITS)
+            ref_e = ml_oracle(beta, z, 1.0, digits=_ORACLE_DIGITS)
+            ref_ee = ml_oracle(beta, z, beta, digits=_ORACLE_DIGITS)
             worst_e = max(worst_e, abs(ml_e(beta, z) - ref_e) / abs(ref_e))
             worst_ee = max(worst_ee, abs(ml_ee(beta, z) - ref_ee) / abs(ref_ee))
             sup_e = max(sup_e, abs(ref_e))

@@ -40,10 +40,9 @@ not for the worst one.
 
 ``ml_oracle`` sums the series in arbitrary precision: fixed-point Python
 integers, with mpmath only for its cached reciprocal-Gamma coefficients.
-Each coefficient holds only the bits its terms need, full precision near the
-peak of |z|^k/Gamma(b*k) and fewer before and past it, and one pass over
-the shared table sums E_b and E_{b,b} together.  It is the test suite's
-independent reference; no evaluator calls it.
+Each coefficient holds only the bits its terms need: full precision near
+the peak of |z|^k/Gamma(b*k), fewer before and past it.  It is the test
+suite's independent reference; no evaluator calls it.
 """
 
 from __future__ import annotations
@@ -119,9 +118,10 @@ def _mp_rgamma_table(beta: float, gam: float, radius: float, digits: int, upto: 
     A table built for (R, D) serves every call with |z| <= R and digits
     <= D.  Its top precision P is _series_dps(beta, R, D) in bits, but entry
     k holds only the p_k bits of _entry_bits.  With rho = R^{1/beta} and
-    L_k = k log2 R - lgamma(beta*k + gam)/ln 2, the term u = g_k z^{k-1}
-    (z^k/Gamma(beta*k + gam) for another gam) that entry k gives is at most
-    2^{L_k}, and E_beta's term is u z/(beta k), at most 2^{L_k} R/beta.  An
+    L_k = k log2 R - lgamma(beta*k + gam)/ln 2, the term that entry k gives
+    is at most 2^{L_k} R/beta: g_k z^{k-1} of E_{beta,beta} is at most
+    2^{L_k}, g_k z^k/(beta k) of E_beta at most 2^{L_k} R/beta, and
+    z^k/Gamma(beta*k + gam) of another gam at most 2^{L_k}.  An
     entry below P rounds within an ulp, 2^{1 - p_k} relative, so it moves
     either sum by at most 2^{1 + L_k - p_k} R/beta <= 2^{1 + rho/ln 2 - P - G} R/beta.
     The floor in _series_dps can make P - rho/ln 2 up to 5 bits smaller at
@@ -178,12 +178,11 @@ def _series_dps(beta: float, absz: float, digits: int) -> int:
     return int(digits + 1.15 * x / math.log(10.0) + 25)
 
 
-def _ml_series_mp(beta: float, gams: tuple, z: complex, digits: int) -> tuple[complex, ...]:
-    """Defining power series of E_{beta,gam}, gam in gams, summed in fixed point with Python integers.
+def _ml_series_mp(beta: float, gam: float, z: complex, digits: int) -> complex:
+    """Defining power series summed in fixed point with Python integers.
 
-    gams is (1.0,), (beta,), (1.0, beta) or (gam,); the values come back in
-    its order.  With eps = 10^{-digits} and s the partial sum, terms t are
-    added until ten consecutive ones pass the sup-norm test
+    With eps = 10^{-digits} and s the partial sum, terms t are added until
+    ten consecutive ones pass the sup-norm test
 
         2 max(|Re t|, |Im t|) <= eps (max(|Re s|, |Im s|) + eps),
 
@@ -196,62 +195,58 @@ def _ml_series_mp(beta: float, gams: tuple, z: complex, digits: int) -> tuple[co
     The loop runs on Python integers.  z^k is a pair of P-bit mantissas
     (P the binary precision of _series_dps) with a shared exponent, taken
     from z's doubles exactly and renormalised after each Gauss product.
-    Terms and partial sums are integers in units of 2^{-F}.  The partial
-    sums peak near e^rho, rho = |z|^{1/beta}, so F = P - rho/ln 2 + _GUARD_BITS
+    Terms and partial sum are integers in units of 2^{-F}.  The partial sums
+    peak near e^rho, rho = |z|^{1/beta}, so F = P - rho/ln 2 + _GUARD_BITS
     lies below the absolute floor 2^{-P} e^rho of a P-bit float sum; a
     |z| < 1 adds -log2|z| bits, so that a tiny z keeps its first-order term.
 
     Coefficients are reciprocals from _mp_rgamma_table.  gam = beta and
-    gam = 1 share the table g_k = 1/Gamma(beta*k) of their beta, and one
-    pass serves both: it forms u_k = g_{k+1} z^k once per k.  E_{beta,beta}
-    adds u_k, since 1/Gamma(beta*k + beta) = g_{k+1}.  E_beta is
-    1 + sum_k u_k z/(beta (k+1)), since 1/Gamma(beta*k + 1) = g_k/(beta*k):
-    its term is u_k times z's integer mantissas, shifted, and floor-divided
-    by (k+1) times beta's integer numerator.  Each sum keeps its own count
-    of quiet terms and stops adding at its own point; the loop ends when
-    both have stopped.  At beta = 1 the two are one function, E_1, summed
-    as E_{1,1}.  Any other gam sums u_k = z^k/Gamma(beta*k + gam) from a
-    table of its own.
+    gam = 1 share the table g_k = 1/Gamma(beta*k) of their beta, through
+    1/Gamma(beta*k + beta) = g_{k+1} and 1/Gamma(beta*k + 1) = g_k/(beta*k).
+    The first is exact; the second divides g_k's mantissa, shifted to keep
+    P bits whatever its length (an entry may hold fewer, see
+    _mp_rgamma_table), by k times beta's 53-bit integer mantissa.
+    Any other gam uses a table of its own.
     """
     absz = abs(z)
     dps = _series_dps(beta, absz, digits)
     prec = _binary_prec(dps)
     fbits = prec - math.ceil(absz ** (1.0 / beta) / math.log(2.0)) + _GUARD_BITS
     fbits += max(0, -math.frexp(absz)[1])
-    if all(g in (1.0, beta) for g in gams):
-        base, off, plain, with_e = 0.0, 1, beta in gams, beta != 1.0 and 1.0 in gams
+    if gam == beta:
+        base, off, div = 0.0, 1, False
+    elif gam == 1.0:
+        base, off, div = 0.0, 0, True
     else:
-        base, off, plain, with_e = gams[0], 0, True, False
+        base, off, div = gam, 0, False
     # z = (x + iy) 2^zexp with integers x, y, exactly
     (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
     den = max(xd, yd)
     x, y, zexp = xn * (den // xd), yn * (den // yd), 1 - den.bit_length()
     xpy, ymx = x + y, y - x
-    # E_beta's term k+1 is u_k (x + iy) 2^{zexp} bden/((k+1) bnum), bden a power of 2
     bnum, bden = beta.as_integer_ratio()
-    eexp = zexp + bden.bit_length() - 1
-    eshift, ediv = max(eexp, 0), bnum << max(-eexp, 0)
+    bexp = bden.bit_length() - 1
+    # the stop test in units of 2^{-F}: 2 10^digits sup|t| <= sup|s| + floor
     tenpow2 = 2 * 10**digits
     tenshift = tenpow2.bit_length() - 1
     floor = (1 << fbits) // 10**digits
-
-    def quiet(tr: int, ti: int, sr: int, si: int) -> bool:
-        # the stop test in units of 2^{-F}: 2 10^digits sup|t| <= sup|s| + floor
-        tsup, lim = max(abs(tr), abs(ti)), max(abs(sr), abs(si)) + floor
-        return tsup <= lim >> tenshift and tenpow2 * tsup <= lim  # the shift fails most terms
-
     a, b, pexp = 1, 0, 0  # z^k = (a + ib) 2^pexp
-    sr = si = 0  # the sum of the u_k
-    er, ei = 1 << fbits, 0  # E_beta, from its term 0
-    nquiet = 0 if plain else 10
-    equiet = 0 if with_e else 10
+    sr = si = 0
     table: list = []
+    quiet = 0
     for k in range(_ORACLE_TERM_CAP):
         if k + off >= len(table):
             table = _mp_rgamma_table(beta, base, absz, digits, k + off + 1)
         sign, man, exp, bc = table[k + off]
         if bc > prec:  # the table may hold more bits than this call needs
             man, exp, bc = man >> (bc - prec), exp + bc - prec, prec
+        if div:
+            if k:
+                d = k * bnum
+                n = prec + 1 - bc + d.bit_length()
+                man, exp = (man << n) // d, exp - n + bexp
+            else:
+                man, exp = 1, 0
         if sign:
             man = -man
         sh = exp + pexp + fbits
@@ -265,20 +260,8 @@ def _ml_series_mp(beta: float, gams: tuple, z: complex, digits: int) -> tuple[co
                 tr, ti = (a >> c) * man >> (-sh - 2 * c), (b >> c) * man >> (-sh - 2 * c)
             else:
                 tr, ti = a * man >> -sh, b * man >> -sh
-        if nquiet < 10:
-            sr += tr
-            si += ti
-            nquiet = nquiet + 1 if quiet(tr, ti, sr, si) else 0
-        if equiet < 10:
-            d = (k + 1) * ediv
-            tr, ti = ((tr * x - ti * y) << eshift) // d, ((tr * y + ti * x) << eshift) // d
-            er += tr
-            ei += ti
-            equiet = equiet + 1 if quiet(tr, ti, er, ei) else 0
-        if nquiet >= 10 and equiet >= 10:
-            s = complex(sr / (1 << fbits), si / (1 << fbits))
-            e = complex(er / (1 << fbits), ei / (1 << fbits)) if with_e else s
-            return tuple(e if g == 1.0 else s for g in gams)
+        sr += tr
+        si += ti
         t1 = x * (a + b)
         a, b = t1 - b * xpy, t1 + a * ymx
         n = max(a.bit_length(), b.bit_length()) - prec
@@ -287,22 +270,26 @@ def _ml_series_mp(beta: float, gams: tuple, z: complex, digits: int) -> tuple[co
             b >>= n
             pexp += n
         pexp += zexp
+        tsup, lim = max(abs(tr), abs(ti)), max(abs(sr), abs(si)) + floor
+        if tsup <= lim >> tenshift and tenpow2 * tsup <= lim:  # the shift fails most terms
+            quiet += 1
+            if quiet >= 10:
+                return complex(sr / (1 << fbits), si / (1 << fbits))
+        else:
+            quiet = 0
     raise NonConvergenceError(
         f"Mittag-Leffler series did not settle within {_ORACLE_TERM_CAP} terms "
-        f"(beta={beta}, gam={gams}, |z|={abs(z):.3g})"
+        f"(beta={beta}, gam={gam}, |z|={abs(z):.3g})"
     )
 
 
-def ml_oracle(beta: float, z: complex, second_param: float | tuple = 1.0, digits: int = 100):
+def ml_oracle(beta: float, z: complex, second_param: float = 1.0, digits: int = 100) -> complex:
     """Arbitrary-precision evaluation of E_{beta, second_param}(z).
 
     The reference implementation for tests: the defining power series is
     summed with enough guard digits to survive the sector cancellation,
-    then rounded to double precision.  second_param = (1.0, beta) returns
-    the pair (E_beta(z), E_{beta,beta}(z)) from one pass over the series,
-    each value bit for bit the one its own call returns; a one-entry tuple
-    (gam,) returns (E_{beta,gam}(z),).  A non-finite beta, z or second
-    parameter, or any other tuple, raises ValueError before any table work.
+    then rounded to double precision.  A non-finite beta, z or
+    second_param raises ValueError naming it, before any table work.
     """
     if digits < 50:
         raise ValueError("ml_oracle: digits must be >= 50")
@@ -311,17 +298,9 @@ def ml_oracle(beta: float, z: complex, second_param: float | tuple = 1.0, digits
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"ml_oracle: z must be finite, got {z!r}")
-    gams = second_param if isinstance(second_param, tuple) else (second_param,)
-    for g in gams:
-        if not math.isfinite(g):
-            raise ValueError(f"ml_oracle: second_param must be finite, got {g!r}")
-    if len(gams) != 1 and gams != (1.0, beta):
-        raise ValueError(
-            f"ml_oracle: a tuple second_param is (gam,) or (1.0, beta) = (1.0, {beta!r}), "
-            f"got {second_param!r}"
-        )
-    vals = _ml_series_mp(beta, gams, z, digits)
-    return vals if isinstance(second_param, tuple) else vals[0]
+    if not math.isfinite(second_param):
+        raise ValueError(f"ml_oracle: second_param must be finite, got {second_param!r}")
+    return _ml_series_mp(beta, second_param, z, digits)
 
 
 # ---------------------------------------------------------------------------

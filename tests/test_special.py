@@ -149,18 +149,13 @@ class TestOracleInput:
         [
             ((0.8, 1.0, math.nan), "nan"),
             ((0.8, 1.0, math.inf), "inf"),
-            ((0.8, 1.0, (1.0, math.nan)), "nan"),
-            ((0.8, 1.0, (-math.inf,)), "-inf"),
+            ((0.8, 1.0, -math.inf), "-inf"),
             ((0.8, math.nan), "nan"),
             ((0.8, math.inf), "inf"),
             ((0.8, complex(1.0, -math.inf)), "(1-infj)"),
             ((0.8, complex(math.nan, 2.0)), "(nan+2j)"),
             ((math.nan, 1.0), "nan"),
             ((math.inf, 1.0), "inf"),
-            ((0.8, 1.0, (0.8, 1.0)), "(0.8, 1.0)"),
-            ((0.8, 1.0, (1.0, 0.75)), "(1.0, 0.75)"),
-            ((0.8, 1.0, (1.0, 0.8, 0.8)), "(1.0, 0.8, 0.8)"),
-            ((0.8, 1.0, ()), "()"),
         ],
     )
     def test_rejected_and_named(self, args, named):
@@ -169,22 +164,18 @@ class TestOracleInput:
             ml_oracle(*args)
         assert special._MP_RGAMMA_CACHE == before
 
-    def test_tuple_forms(self):
-        z = RAY(0.8, 9.0)
-        assert ml_oracle(0.8, z, (1.0, 0.8)) == (ml_oracle(0.8, z, 1.0), ml_oracle(0.8, z, 0.8))
-        assert ml_oracle(0.8, z, (1.8,)) == (ml_oracle(0.8, z, 1.8),)
-
 
 def _oracle_on_own_tables(uniform: bool):
     """ml_oracle on reciprocal-Gamma tables of its own, every entry at the top precision P if uniform."""
     cache: dict = {}
 
-    def call(beta, z, second_param, digits=100):
+    def call(beta, z, digits=100):
+        """The pair (E_beta(z), E_{beta,beta}(z))."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(special, "_MP_RGAMMA_CACHE", cache)
             if uniform:
                 patch.setattr(special, "_entry_bits", lambda beta, gam, radius, top, ks: [top] * len(ks))
-            return ml_oracle(beta, z, second_param, digits)
+            return ml_oracle(beta, z, 1.0, digits), ml_oracle(beta, z, beta, digits)
 
     call.cache = cache
     return call
@@ -209,7 +200,7 @@ def ray_pairs(per_entry_oracle, uniform_oracle):
     """{beta: [(per-entry pair, uniform pair)]} on the ml-check ray, 50 radii down from 50."""
     return {
         beta: [
-            (per_entry_oracle(beta, z, (1.0, beta)), uniform_oracle(beta, z, (1.0, beta)))
+            (per_entry_oracle(beta, z), uniform_oracle(beta, z))
             for z in (RAY(beta, r) for r in np.linspace(0.0, 50.0, 50)[::-1])
         ]
         for beta in RAY_BETAS
@@ -233,7 +224,7 @@ class TestEntryPrecision:
     @example(beta=0.9, r=0.0, frac=0.0)
     def test_sector_points_match_uniform_table(self, ray_pairs, per_entry_oracle, uniform_oracle, beta, r, frac):
         z = complex(r * cmath.exp(1j * frac * beta * math.pi / 2.0))
-        assert per_entry_oracle(beta, z, (1.0, beta)) == uniform_oracle(beta, z, (1.0, beta))
+        assert per_entry_oracle(beta, z) == uniform_oracle(beta, z)
 
     def test_entries_hold_the_bits_their_terms_need(self, ray_pairs, per_entry_oracle, uniform_oracle):
         # beta = 0.6, R = 50, 100 digits: the entries near the peak of the
@@ -265,28 +256,6 @@ class TestEntryPrecision:
                 if k
             ) * radius / beta
             assert err <= abs(mp.mpf(table[peak])) * mp.mpf(radius) ** peak * mp.mpf(2) ** -top
-
-
-class TestOraclePair:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        beta=st.floats(0.55, 1.0),
-        r=st.floats(0.0, 40.0),
-        frac=st.floats(-1.0, 1.0),
-    )
-    @example(beta=0.55, r=0.0, frac=0.0)
-    @example(beta=1.0, r=12.0, frac=-1.0)
-    @example(beta=0.55, r=37.0, frac=0.0)  # e^{37^{1/0.55}} ~ e^710 leaves double range
-    def test_pair_equals_single_calls(self, beta, r, frac):
-        z = complex(r * cmath.exp(1j * frac * beta * math.pi / 2.0))
-        try:
-            single = (ml_oracle(beta, z, 1.0, digits=50), ml_oracle(beta, z, beta, digits=50))
-        except OverflowError:
-            # near the positive real axis at small beta the sums pass 1.8e308
-            with pytest.raises(OverflowError):
-                ml_oracle(beta, z, (1.0, beta), digits=50)
-            return
-        assert ml_oracle(beta, z, (1.0, beta), digits=50) == single
 
 
 class TestMlE:
