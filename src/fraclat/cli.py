@@ -43,6 +43,7 @@ from .harness import (
     run_ml_check,
     run_smoothing_experiment,
     run_symbol_checks,
+    sorted_meshes,
 )
 from .lattice import field_to_bytes, norm_lp
 from .solver import (
@@ -149,9 +150,9 @@ _KEY_PARSERS = {
     "T": _parse_positive,
     "m_steps": _parse_steps,
     "n_times": _parse_steps,
-    "tol": _parse_float,
+    "tol": _parse_positive,
     "eps": _parse_float,
-    "ratio_cap": _parse_float,
+    "ratio_cap": _parse_positive,
     "linear_only": _parse_bool,
     "initial": _parse_initial,
     "amplitude": _parse_float,
@@ -289,23 +290,27 @@ def _check_run(cfg: RunConfig, path: Path, line_of: dict) -> None:
 
     Every lattice the run builds is built here: each mesh of h, h_list and
     h_ref must divide extent into an even number (>= 8) of sites, h_list
-    may not repeat a mesh, and h_ref must be at most min(h_list)/4.  The
-    lattices of h and h_list must also hold the filter's 2h lattice
-    (n_points % 4 == 0) when the filter is on, and always under smoothing,
-    whose filtered packet is built there.  ml-check's oracle must fit its
-    digit budget at the smallest beta and r_max.  The ConfigError names the
-    line of the key at fault.
+    must pass sorted_meshes (no repeat, enough meshes), and h_ref must be
+    at most min(h_list)/4.  The lattices of h and h_list must also hold the
+    filter's 2h lattice (n_points % 4 == 0) when the filter is on, and
+    always under smoothing, whose filtered packet is built there.
+    ml-check's oracle must fit its digit budget at the smallest beta and
+    r_max.  The ConfigError names the line of the key at fault.
     """
     raw = cfg.raw
 
     def bad(key: str, message: str) -> ConfigError:
         return ConfigError(f"{path}:{line_of[key]}: bad value for {key!r}: {message}")
 
-    if cfg.experiment == "ml-check":
+    def check(key: str, fn, *args):
         try:
-            check_oracle_budget(raw.get("betas", ML_BETAS), raw.get("r_max", ML_R_MAX))
+            return fn(*args)
         except ValueError as exc:
-            raise bad("r_max" if "r_max" in raw else "betas", str(exc)) from exc
+            raise bad(key, str(exc)) from exc
+
+    if cfg.experiment == "ml-check":
+        check("r_max" if "r_max" in raw else "betas", check_oracle_budget,
+              raw.get("betas", ML_BETAS), raw.get("r_max", ML_R_MAX))
     if cfg.params is None:
         return
     extent = raw.get("extent", DEFAULT_EXTENT)
@@ -314,20 +319,14 @@ def _check_run(cfg: RunConfig, path: Path, line_of: dict) -> None:
         if key not in raw:
             continue
         for h in raw[key] if key == "h_list" else [raw[key]]:
-            try:
-                n = grid_for(extent, h).n_points
-            except ValueError as exc:
-                raise bad(key, str(exc)) from exc
+            n = check(key, grid_for, extent, h).n_points
             if quarter and key != "h_ref" and n % 4:
                 raise bad(key, f"extent {extent:g} / h = {h:g} gives {n} sites; the filter's "
                                f"2h lattice needs a multiple of 4")
-    if len(set(raw.get("h_list", []))) < len(raw.get("h_list", [])):
-        raise bad("h_list", f"repeats a mesh: {raw['h_list']}")
+    if "h_list" in raw:
+        check("h_list", sorted_meshes, cfg.experiment, raw["h_list"])
     if "h_ref" in raw:
-        try:
-            check_h_ref(raw["h_list"], raw["h_ref"])
-        except ValueError as exc:
-            raise bad("h_ref", str(exc)) from exc
+        check("h_ref", check_h_ref, raw["h_list"], raw["h_ref"])
 
 
 def parse_config(path, experiment: str | None = None) -> RunConfig:

@@ -192,7 +192,7 @@ def run_symbol_checks(alpha_list, beta: float = 0.85) -> dict:
             and wpp_decreasing
             and sign_changes == 1
             and 0.0 < xi0 < math.pi / 2.0
-            and xi0 < xi1 < math.pi
+            and (xi1 == xi0 if beta == 1.0 else xi0 < xi1 < math.pi)  # xi1 is xi0 at beta = 1
             and abs(slope - 2.0) <= 0.05
             and sandwich[0] > 0.0
             and fd_w_err < 1e-6
@@ -223,6 +223,22 @@ def grid_for(extent: float, h: float) -> LatticeGrid:
     return LatticeGrid(h=h, n_points=n)
 
 
+# the fewest meshes from which each sweep measures anything: one ratio of
+# neighbouring meshes, or the three points fit_order needs
+MIN_MESHES = {"mass": 2, "smoothing": 2, "continuum": 3}
+
+
+def sorted_meshes(experiment: str, h_list) -> list:
+    """h_list coarsest first; ValueError if it repeats a mesh or holds fewer than MIN_MESHES."""
+    h_list = list(h_list)
+    if len(set(h_list)) < len(h_list):
+        raise ValueError(f"repeats a mesh: {h_list}")
+    least = MIN_MESHES[experiment]
+    if len(h_list) < least:
+        raise ValueError(f"{experiment} needs at least {least} meshes, got {len(h_list)}")
+    return sorted(h_list, reverse=True)
+
+
 # largest admissible relative spread max/min - 1 of the mass ratios
 _MASS_THRESHOLD = 0.05
 
@@ -236,8 +252,8 @@ def run_mass_uniformity(
     n_times: int = 96,
     workers: int = 1,
 ) -> dict:
-    """sup_t ||L_{h,t} f_h|| / ||f_h|| across an h-sweep at fixed extent."""
-    h_list = sorted(h_list, reverse=True)
+    """sup_t ||L_{h,t} f_h|| / ||f_h|| across an h-sweep at fixed extent (sorted_meshes)."""
+    h_list = sorted_meshes("mass", h_list)
     timegrid = TimeGrid(T=T, m_steps=n_times)
 
     def one(h: float) -> dict:
@@ -294,9 +310,9 @@ def run_smoothing_experiment(
     The default packet width is scaled per mesh, W = 20 h: the spectral
     standard deviation h/W then sits at a quarter of the 0.2 window, so
     well over 95% of the mass stays within |xi -+ pi| < 0.2 at every h.
-    Pass a float to pin a fixed width instead.
+    Pass a float to pin a fixed width instead.  h_list must pass sorted_meshes.
     """
-    h_list = sorted(h_list, reverse=True)
+    h_list = sorted_meshes("smoothing", h_list)
     delta = (params.sigma - 1.0) / 2.0 - eps
     timegrid = TimeGrid(T=T, m_steps=n_times)
 
@@ -328,10 +344,7 @@ def run_smoothing_experiment(
         "unfiltered_growth_ratios": ratios_unf,
         "filtered_ratios": ratios_fil,
         "packet_mass_ok": mass_ok,
-        "dichotomy": bool(
-            ratios_unf
-            and min(ratios_unf) > max(ratios_fil)
-        ),
+        "dichotomy": bool(min(ratios_unf) > max(ratios_fil)),
         "pass": bool(
             mass_ok
             and all(r >= 1.5 for r in ratios_unf)
@@ -444,7 +457,7 @@ def run_continuum_study(
     solution's fails that test; ref_solve_h names H.  The errors zero-pad
     it to h_ref and measure there, a block of _NORM_ROWS nodes at a time.
     """
-    h_list = sorted(h_list, reverse=True)
+    h_list = sorted_meshes("continuum", h_list)
     check_h_ref(h_list, h_ref)
     datum = discretize(f, grid_for(extent, h_ref))
     spectrum = np.fft.fft(datum.values)
@@ -481,7 +494,7 @@ def run_continuum_study(
         raise NonContractionError(message, []) from error
 
     err_s, err_l2, err_lam = zip(*(_trajectory_errors(traj, ref, datum, params) for traj in trajs))
-    positive = all(e > 0.0 for e in err_s) and len(err_s) >= 3
+    positive = all(e > 0.0 for e in err_s)
     order = fit_order(zip(h_list, err_s)) if positive else float("nan")
     monotone = all(a > b for a, b in zip(err_s, err_s[1:]))
     lambda_monotone = all(a > b for a, b in zip(err_lam, err_lam[1:]))

@@ -57,7 +57,7 @@ from .lattice import (
     filter_pi,
     lambda_norm,
 )
-from .special import GRID_TOL, ml_e_grid, ml_ee_grid
+from .special import ml_e_grid, ml_ee_grid
 from .symbol import w_on_dft_grid
 
 
@@ -288,7 +288,7 @@ def _duhamel_weight_blocks(timegrid: TimeGrid, mus: np.ndarray, params: ModelPar
     for lo in range(0, K, chunk):
         hi = min(lo + chunk, K)
         r = tb[:, :, None] * mus[None, None, lo:hi]
-        ek = ml_ee_grid(beta, r.reshape(M * n_nodes, -1), tol=GRID_TOL).reshape(M, n_nodes, hi - lo)
+        ek = ml_ee_grid(beta, r.reshape(M * n_nodes, -1)).reshape(M, n_nodes, hi - lo)
         yield lo, hi, np.einsum("li,lik->lk", wa, ek), np.einsum("li,lik->lk", wb, ek)
 
 
@@ -442,7 +442,7 @@ def solve(
     mu = _pair_multiplier(grid, params.alpha, symbol_source)
     r = np.multiply.outer(timegrid.times**params.beta, mu)
     j = np.arange(grid.n_points)
-    LIN = ml_e_grid(params.beta, r, tol=GRID_TOL).take(np.minimum(j, grid.n_points - j), axis=-1)
+    LIN = ml_e_grid(params.beta, r).take(np.minimum(j, grid.n_points - j), axis=-1)
     del r  # else it stays alive through every Picard sweep
     u0_hat = np.fft.fft(u0.values)
     LIN *= u0_hat

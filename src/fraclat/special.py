@@ -31,12 +31,12 @@ The band is empty for tol >= 1e-8.  So the solver's tables use series and
 asymptotics only: ``ml_e_grid``/``ml_ee_grid`` evaluate at ``GRID_TOL`` on
 the propagator ray theta = -b*pi/2 from the radii t^b mu, which the solver
 stores as real arrays.  ``ml_e``/``ml_ee`` are one-point calls at 1e-12 at
-(|z|, arg z) that use all three routes.  Series and asymptotic truncation
-orders follow from each point's own r, one searchsorted into a cached table
-of breakpoints per (b, g, tol); the points are sorted by route and order
-once, and each branch is summed by Horner's rule on the real and imaginary
-parts as two rows of one real array, so a point pays for its own order,
-not for the worst one.
+(|z|, arg z) that use all three routes.  Each point's route and truncation
+order follow from its own r, one searchsorted into the breakpoints of the
+one cached ``_plan`` per (b, g, tol); the points are sorted by route and
+order once, and each branch is summed by Horner's rule on the real and
+imaginary parts as two rows of one real array, so a point pays for its own
+order, not for the worst one.
 
 ``ml_oracle`` sums the series in arbitrary precision: fixed-point Python
 integers, with mpmath only for its cached reciprocal-Gamma coefficients.
@@ -52,6 +52,7 @@ import cmath
 import functools
 import sys
 import threading
+from typing import NamedTuple
 
 import numpy as np
 import mpmath as mp
@@ -274,7 +275,12 @@ def _ml_series_mp(beta: float, gam: float, z: complex, digits: int) -> complex:
         if tsup <= lim >> tenshift and tenpow2 * tsup <= lim:  # the shift fails most terms
             quiet += 1
             if quiet >= 10:
-                return complex(sr / (1 << fbits), si / (1 << fbits))
+                try:
+                    return complex(sr / (1 << fbits), si / (1 << fbits))
+                except OverflowError:
+                    raise MLOverflowError(
+                        f"E_{{{beta:g},{gam:g}}}(z) leaves double range at |z| = {absz:.6g}"
+                    ) from None
         else:
             quiet = 0
     raise NonConvergenceError(
@@ -289,7 +295,8 @@ def ml_oracle(beta: float, z: complex, second_param: float = 1.0, digits: int = 
     The reference implementation for tests: the defining power series is
     summed with enough guard digits to survive the sector cancellation,
     then rounded to double precision.  A non-finite beta, z or
-    second_param raises ValueError naming it, before any table work.
+    second_param raises ValueError naming it, before any table work; a
+    value past double range raises MLOverflowError naming beta, second_param and |z|.
     """
     if digits < 50:
         raise ValueError("ml_oracle: digits must be >= 50")
@@ -349,107 +356,62 @@ def _log_env_recip_gamma(g: float) -> float:
     return math.lgamma(1.0 - g) - math.log(math.pi)
 
 
-def _route_radii(beta: float, tol: float) -> tuple[float, float]:
-    """|z| below which a point takes the series, and from which the asymptotics."""
+class _Plan(NamedTuple):
+    """What _ml_grid needs at one (beta, gam, tol); every array is read-only."""
+
+    edges: np.ndarray  # radius r has key keys[searchsorted(edges, r, side="right")]
+    keys: np.ndarray  # int16: the key at r = 0, then at each edge
+    series: np.ndarray  # 1/Gamma(beta*k + gam), k = 0..kmax
+    asym: np.ndarray  # 1/Gamma(gam - beta*k), k = 0..59
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(beta: float, gam: float, tol: float) -> _Plan:
+    """Keys by radius, and coefficients, of _ml_grid; cached per (beta, gam, tol).
+
+    A point's key is its series order N for rho = r^{1/beta} below
+    min(ln(tol/_EPS), ln(1/tol)), len(series) + K, K its asymptotic order,
+    for rho >= ln(1/tol), and len(series) + 60 in the contour band between:
+    sorting by key groups the points by route, then by order.  A series
+    point stops after the first k > 8 whose radius (_SERIES_CUT/|c_k|)^{1/k}
+    exceeds |z|.  With L_k the log of the sine-free envelope of
+    1/Gamma(gam - beta*k), asymptotic term k has envelope exp(L_k - k ln|z|):
+    no larger than term k-1's while |z| >= exp(L_k - L_{k-1}) (k >= 2; term
+    1 always counts), below tol*1e-3 once |z| > exp((L_k - ln(tol*1e-3))/k).
+    Running extrema make each set of radii monotone, so the key is a step
+    function of r with edges at them and at the route radii; the "settled"
+    count changes just past its radii, so those edges sit one double above.
+    The arrays are shared by every call, so they are read-only.
+    """
     rho_a = math.log(1.0 / tol)
-    return min(math.log(tol / _EPS), rho_a) ** beta, rho_a**beta
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@functools.lru_cache(maxsize=64)
-def _series_plan(beta: float, gam: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients 1/Gamma(beta*k + gam), k = 0..kmax, and the order thresholds.
-
-    A point stops after the first k > 8 with |z|^k |c_k| < _SERIES_CUT, that
-    is, after the first k whose radius (_SERIES_CUT/|c_k|)^{1/k} exceeds |z|.
-    The running maximum of those radii (k = 9..kmax) is sorted, so the
-    order is 9 plus a searchsorted.  Cached per (beta, gam, tol); the
-    arrays are shared, so they are read-only.
-    """
-    radius = _route_radii(beta, tol)[0]
-    kmax = min(int(3.5 * radius ** (1.0 / beta) / beta) + 30, 600) - 1
-    coef = _rgamma(beta * np.arange(kmax + 1) + gam)
+    r_series, r_asymp = min(math.log(tol / _EPS), rho_a) ** beta, rho_a**beta
+    kmax = min(int(3.5 * r_series ** (1.0 / beta) / beta) + 30, 600) - 1
+    series = _rgamma(beta * np.arange(kmax + 1) + gam)
     with np.errstate(divide="ignore"):
-        radii = np.exp((math.log(_SERIES_CUT) - np.log(np.abs(coef[9:]))) / np.arange(9, kmax + 1))
-    return _frozen(coef, np.maximum.accumulate(radii))
-
-
-@functools.lru_cache(maxsize=64)
-def _asymp_plan(beta: float, gam: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients 1/Gamma(gam - beta*k), k = 0..59, and the order thresholds.
-
-    With L_k the log of the sine-free envelope of 1/Gamma(gam - beta*k),
-    term k has envelope exp(L_k - k ln|z|).  It is no larger than term
-    k-1's while |z| >= exp(L_k - L_{k-1}) (k >= 2; term 1 always counts),
-    and it is below tol*1e-3 once |z| > exp((L_k - ln(tol*1e-3))/k).  The
-    running maximum of the first radii and the running minimum of the
-    second are monotone, so both counts are searchsorteds.  Cached per
-    (beta, gam, tol); the arrays are shared, so they are read-only.
-    """
+        radii = np.exp((math.log(_SERIES_CUT) - np.log(np.abs(series[9:]))) / np.arange(9, kmax + 1))
+    radii = np.maximum.accumulate(radii)
     ks = np.arange(_ASYM_TERMS + 1)
-    coef = _rgamma(gam - beta * ks)
+    asym = _rgamma(gam - beta * ks)
     logenv = np.array([_log_env_recip_gamma(gam - beta * k) for k in ks])
     rising = np.exp(np.maximum.accumulate(np.diff(logenv)[1:]))  # k = 2..59
     settled = np.exp(np.minimum.accumulate((logenv[1:] - math.log(tol * 1e-3)) / ks[1:]))
-    return _frozen(coef, rising, settled[::-1])  # ascending: k = 59..1
-
-
-def _order_rules(beta: float, gam: float, tol: float, r: np.ndarray) -> np.ndarray:
-    """The key of _grid_orders at each radius r, from the scalar thresholds of the plans."""
-    r_series, r_asymp = _route_radii(beta, tol)
-    scoef, sradii = _series_plan(beta, gam, tol)
-    _, rising, settled = _asymp_plan(beta, gam, tol)
-    nser = scoef.size
-    key = np.full(r.shape, nser + _ASYM_TERMS + 1, dtype=np.int16)
-    small = r < r_series
-    key[small] = np.minimum(9 + np.searchsorted(sradii, r[small], side="right"), nser - 1)
-    big = r >= r_asymp
-    past_min = 1 + np.searchsorted(rising, r[big], side="right")
-    unsettled = 1 + settled.size - np.searchsorted(settled, r[big], side="left")
-    key[big] = nser + np.minimum(past_min, unsettled)
-    return key
-
-
-@functools.lru_cache(maxsize=64)
-def _order_table(beta: float, gam: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(edges, keys): radius r has key keys[searchsorted(edges, r, side="right")].
-
-    The key is a step function of r that changes only at the route radii and
-    the plans' thresholds.  The "settled" count changes just past its
-    thresholds, so those edges sit one double above them.  keys[i] is the
-    key at edges[i-1], keys[0] at r = 0.  Cached per (beta, gam, tol); the
-    arrays are shared, so they are read-only.
-    """
-    _, rising, settled = _asymp_plan(beta, gam, tol)
+    settled = settled[::-1]  # ascending: k = 59..1
     # Python's sort: np.unique imports numpy.ma and np.sort pages in its SIMD
     # code, 1 MB and 0.25 MB resident.  A repeated edge is harmless, since
     # searchsorted steps past both copies
-    edges = np.array(sorted(np.concatenate((
-        _route_radii(beta, tol), _series_plan(beta, gam, tol)[1], rising, np.nextafter(settled, np.inf)
-    ))))
-    return _frozen(edges, _order_rules(beta, gam, tol, np.concatenate(([0.0], edges))))
-
-
-def _grid_orders(
-    beta: float, gam: float, tol: float, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-point routes and truncation orders of _ml_grid, with the coefficients they index.
-
-    Returns (key, series_coef, asym_coef).  key (int16) is a point's series
-    order N for rho = r^{1/beta} below min(ln(tol/_EPS), ln(1/tol)),
-    len(series_coef) + K, K its asymptotic order, for rho >= ln(1/tol), and
-    len(series_coef) + 60, past every asymptotic key, in the contour band
-    between.  So sorting by key groups the points by route, then by order.
-    One searchsorted into _order_table gives every key.
-    """
-    edges, keys = _order_table(beta, gam, tol)
-    key = keys[np.searchsorted(edges, r, side="right")]
-    return key, _series_plan(beta, gam, tol)[0], _asymp_plan(beta, gam, tol)[0]
+    edges = np.concatenate(((r_series, r_asymp), radii, rising, np.nextafter(settled, np.inf)))
+    edges = np.array(sorted(edges))
+    r = np.concatenate(([0.0], edges))
+    keys = np.full(r.shape, series.size + _ASYM_TERMS + 1, dtype=np.int16)
+    small = r < r_series
+    keys[small] = np.minimum(9 + np.searchsorted(radii, r[small], side="right"), kmax)
+    big = r >= r_asymp
+    past_min = 1 + np.searchsorted(rising, r[big], side="right")
+    unsettled = 1 + settled.size - np.searchsorted(settled, r[big], side="left")
+    keys[big] = series.size + np.minimum(past_min, unsettled)
+    for a in (edges, keys, series, asym):
+        a.flags.writeable = False
+    return _Plan(edges, keys, series, asym)
 
 
 def _rotated(coef: np.ndarray, theta: float) -> np.ndarray:
@@ -565,14 +527,14 @@ def _ml_grid(beta: float, gam: float, r: np.ndarray, theta: float, tol: float) -
     the worst relative error of E_beta and E_{beta,beta} is 1.0e-8 at
     beta = 0.55, 1.4e-8 at 0.6, 2.2e-8 at 0.7 and 1.5e-8 at 0.85.
 
-    Both orders are step functions of r read off scalar thresholds
-    (_grid_orders).  The points are sorted once by (route, order); Horner's
-    rule, in r or in 1/r, then runs from the highest order present down over
-    a suffix of the sorted points that grows as the order falls, so each
-    point pays for its own order only.  Real and imaginary parts are summed
-    as the two rows of one real array.  Complex radii raise TypeError, a
-    negative or NaN radius ValueError; a finite point whose value leaves
-    double range raises MLOverflowError.
+    Both orders are step functions of r, read off the breakpoints of
+    _plan(beta, gam, tol) by one searchsorted.  The points are sorted once
+    by (route, order); Horner's rule, in r or in 1/r, then runs from the
+    highest order present down over a suffix of the sorted points that
+    grows as the order falls, so each point pays for its own order only.
+    Real and imaginary parts are summed as the two rows of one real array.
+    Complex radii raise TypeError, a negative or NaN radius ValueError; a
+    finite point whose value leaves double range raises MLOverflowError.
     """
     if not _EPS < tol < 1.0:
         raise ValueError(f"Mittag-Leffler tolerance must lie in (1e-16, 1): got {tol}")
@@ -585,8 +547,9 @@ def _ml_grid(beta: float, gam: float, r: np.ndarray, theta: float, tol: float) -
         out = np.exp(r * cmath.exp(1j * theta))  # E_1 = E_{1,1} = exp
     else:
         rf = r.ravel()
-        key, scoef, acoef = _grid_orders(beta, gam, tol, rf)
-        nser = scoef.size
+        plan = _plan(beta, gam, tol)
+        key = plan.keys[np.searchsorted(plan.edges, rf, side="right")]
+        nser = plan.series.size
         counts = np.bincount(key, minlength=nser + _ASYM_TERMS + 2)
         perm = np.argsort(key, kind="stable")
         # start[j]: the first sorted position whose key is >= j
@@ -596,14 +559,14 @@ def _ml_grid(beta: float, gam: float, r: np.ndarray, theta: float, tol: float) -
         rs = rf[perm]
         vals = np.zeros((2, rs.size))  # real and imaginary parts at the sorted positions
         top = int(np.count_nonzero(start[1:nser] < nsmall))  # the highest series order present
-        c = _rotated(scoef[: top + 1], theta)
+        c = _rotated(plan.series[: top + 1], theta)
         ser = vals[:, :nsmall]
         for k in range(top, -1, -1):
             a = ser[:, start[k]:]
             a *= rs[start[k]:nsmall]
             a += c[:, k, None]
         if nband > nsmall:
-            _asymp_sum(beta, gam, rs[nsmall:nband], theta, acoef, start[nser:] - nsmall,
+            _asymp_sum(beta, gam, rs[nsmall:nband], theta, plan.asym, start[nser:] - nsmall,
                        vals[:, nsmall:nband])
         if nband < rs.size:
             zc = _contour_sum(beta, gam, rs[nband:] * cmath.exp(1j * theta))
@@ -622,34 +585,33 @@ def _ml_grid(beta: float, gam: float, r: np.ndarray, theta: float, tol: float) -
     return out
 
 
-def ml_e_grid(beta: float, r: np.ndarray, tol: float = GRID_TOL) -> np.ndarray:
-    """Vectorised E_beta(i^{-beta} r) over radii r >= 0 (propagator tables)."""
-    return _ml_grid(beta, 1.0, r, -beta * math.pi / 2.0, tol)
+def ml_e_grid(beta: float, r: np.ndarray) -> np.ndarray:
+    """Vectorised E_beta(i^{-beta} r) over radii r >= 0 to GRID_TOL (propagator tables)."""
+    return _ml_grid(beta, 1.0, r, -beta * math.pi / 2.0, GRID_TOL)
 
 
-def ml_ee_grid(beta: float, r: np.ndarray, tol: float = GRID_TOL) -> np.ndarray:
-    """Vectorised E_{beta,beta}(i^{-beta} r) over radii r >= 0 (memory kernel tables)."""
-    return _ml_grid(beta, beta, r, -beta * math.pi / 2.0, tol)
+def ml_ee_grid(beta: float, r: np.ndarray) -> np.ndarray:
+    """Vectorised E_{beta,beta}(i^{-beta} r) over radii r >= 0 to GRID_TOL (kernel tables)."""
+    return _ml_grid(beta, beta, r, -beta * math.pi / 2.0, GRID_TOL)
 
 
 def ml_e(beta: float, z: complex) -> complex:
     """E_beta(z) on the sector |arg z| <= beta*pi/2, to 1e-12 relative."""
-    _check_sector(beta, z)
-    return complex(_ml_grid(beta, 1.0, np.array([abs(z)]), cmath.phase(z), _POINT_TOL)[0])
+    return _ml_point(beta, 1.0, z)
 
 
 def ml_ee(beta: float, z: complex) -> complex:
     """E_{beta,beta}(z) on the sector |arg z| <= beta*pi/2, to 1e-12 relative."""
-    _check_sector(beta, z)
-    return complex(_ml_grid(beta, beta, np.array([abs(z)]), cmath.phase(z), _POINT_TOL)[0])
+    return _ml_point(beta, beta, z)
 
 
-def _check_sector(beta: float, z: complex) -> None:
-    if beta == 1.0:
-        return  # E_1 = exp: the expansion is exact in the whole plane
-    # a subnormal z has no reliable phase and acts like z = 0
-    if abs(z) >= sys.float_info.min and abs(cmath.phase(z)) > beta * math.pi / 2.0 + 1e-9:
+def _ml_point(beta: float, gam: float, z: complex) -> complex:
+    # E_1 = exp: at beta = 1 the expansion is exact in the whole plane; a
+    # subnormal z has no reliable phase and acts like z = 0
+    off_sector = abs(cmath.phase(z)) > beta * math.pi / 2.0 + 1e-9
+    if beta != 1.0 and abs(z) >= sys.float_info.min and off_sector:
         raise ValueError(
             f"argument off the validity sector: |arg z| = {abs(cmath.phase(z)):.4f} "
             f"> beta*pi/2 = {beta * math.pi / 2.0:.4f}"
         )
+    return complex(_ml_grid(beta, gam, np.array([abs(z)]), cmath.phase(z), _POINT_TOL)[0])

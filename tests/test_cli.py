@@ -132,11 +132,19 @@ class TestParseConfig:
          ("ml-check", "experiment = ml-check\n", "n_radii = 0",
           "'n_radii': must be at least 1, got 0"),
          ("continuum", SMALL_CONTINUUM.replace("h_list = 0.4, 0.2, 0.1\n", ""), "h_list = ",
-          "'h_list': no numbers in ''")],
-        ids=["alphas", "betas", "n_radii", "h_list"],
+          "'h_list': no numbers in ''"),
+         ("mass", MINIMAL_MASS.replace("h_list = 0.4, 0.2\n", ""), "h_list = 0.4",
+          "'h_list': mass needs at least 2 meshes, got 1"),
+         ("smoothing", "experiment = smoothing\nalpha = 1.5\nbeta = 0.85\nextent = 12.8\n",
+          "h_list = 0.4", "'h_list': smoothing needs at least 2 meshes, got 1"),
+         ("continuum", SMALL_CONTINUUM.replace("h_list = 0.4, 0.2, 0.1\n", ""), "h_list = 0.4, 0.2",
+          "'h_list': continuum needs at least 3 meshes, got 2")],
+        ids=["alphas", "betas", "n_radii", "h_list", "mass-one-mesh", "smoothing-one-mesh",
+             "continuum-two-meshes"],
     )
     def test_empty_sweep_rejected(self, tmp_path, capsys, exp, base, line, message):
-        # an empty sweep would pass while checking nothing
+        # an empty sweep would pass while checking nothing, and so would a
+        # mass or smoothing sweep of one mesh; a continuum fit needs three
         assert_rejected_at_line(tmp_path, capsys, exp, base, line, message)
 
     @pytest.mark.parametrize(
@@ -156,9 +164,13 @@ class TestParseConfig:
          ("mass", MINIMAL_MASS.replace("n_times = 8\n", ""), "n_times = 1",
           "'n_times': must be at least 2, got 1"),
          ("solve", "experiment = solve\nalpha = 1.5\nbeta = 0.85\nh = 0.4\nT = 0.2\n",
-          "m_steps = 1", "'m_steps': must be at least 2, got 1")],
+          "m_steps = 1", "'m_steps': must be at least 2, got 1"),
+         ("solve", "experiment = solve\nalpha = 1.5\nbeta = 0.85\nh = 0.4\nT = 0.2\n",
+          "tol = 0", "'tol': must be positive, got 0.0"),
+         ("continuum", SMALL_CONTINUUM, "tol = -1", "'tol': must be positive, got -1.0"),
+         ("continuum", SMALL_CONTINUUM, "ratio_cap = 0", "'ratio_cap': must be positive, got 0.0")],
         ids=["alphas", "beta-high", "beta-negative", "betas-low", "betas-high", "r_max",
-             "n_times", "m_steps"],
+             "n_times", "m_steps", "tol-zero", "tol-negative", "ratio_cap"],
     )
     def test_out_of_range_rejected(self, tmp_path, capsys, exp, base, line, message):
         # the run would fail late (exit 1), hang in the oracle or check
@@ -343,8 +355,8 @@ _COMMENT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=
 # 4 sites.  An experiment that builds ModelParams gets the fixed admissible
 # values of those it reads and the defaults of p, sign and s, while every
 # other key it reads may take any value its parser accepts
-_ADMISSIBLE = {"alpha": 1.5, "beta": 0.85, "extent": 12.8, "h": 0.4, "h_list": [0.4, 0.2],
-               "h_ref": 0.05}
+_ADMISSIBLE = {"alpha": 1.5, "beta": 0.85, "extent": 12.8, "h": 0.4, "h_list": [0.4, 0.2, 0.1],
+               "h_ref": 0.025}
 _COUPLED = ("p", "sign", "s", *_ADMISSIBLE)
 
 

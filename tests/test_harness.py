@@ -95,6 +95,14 @@ class TestSymbolChecks:
         assert 0.0 < entry["xi0"] < math.pi / 2.0
         assert entry["xi0"] < entry["xi1"] < math.pi
 
+    def test_beta_one_gates_on_xi1_equal_to_xi0(self, monkeypatch):
+        # find_xi1 returns xi0 at beta = 1, which the report used to fail
+        rep = run_symbol_checks([1.5], beta=1.0)
+        entry = rep["results"][0]
+        assert rep["pass"] and entry["xi1"] == entry["xi0"]
+        monkeypatch.setattr(harness, "find_xi1", lambda alpha, beta: entry["xi0"] + 0.1)
+        assert not run_symbol_checks([1.5], beta=1.0)["pass"]
+
 
 class TestMassUniformity:
     def test_beta_one_is_unitary(self):
@@ -108,13 +116,13 @@ class TestMassUniformity:
         params = ModelParams(alpha=1.5, beta=0.85)
         rep = run_mass_uniformity(
             params,
-            [0.4],
+            [0.4, 0.2],
             lambda x: np.zeros_like(np.asarray(x), dtype=complex),
             extent=12.8,
             T=0.5,
             n_times=4,
         )
-        assert rep["entries"][0]["skipped"] == "zero initial data"
+        assert all(e["skipped"] == "zero initial data" for e in rep["entries"])
         assert not rep["pass"]
 
     def test_ratio_matches_per_node_loop(self):
@@ -201,6 +209,26 @@ class TestSmoothing:
             run_smoothing_experiment(params, [0.2, 0.1], extent=3.6)
 
 
+class TestSweepLength:
+    # one mesh gives no growth ratio, fit_order needs three, and a repeated
+    # mesh measures nothing new: such runs used to pass with an empty or zero
+    # measurement, or end in a NaN order
+    @pytest.mark.parametrize("run, h_list, message", [
+        (lambda p, hs: run_mass_uniformity(p, hs, gauss, extent=12.8), [0.4],
+         "mass needs at least 2 meshes, got 1"),
+        (lambda p, hs: run_smoothing_experiment(p, hs, extent=12.8), [0.2],
+         "smoothing needs at least 2 meshes, got 1"),
+        (lambda p, hs: run_continuum_study(p, hs, 0.025, gauss, extent=12.8), [0.4, 0.2],
+         "continuum needs at least 3 meshes, got 2"),
+        (lambda p, hs: run_mass_uniformity(p, hs, gauss, extent=12.8), [0.4, 0.2, 0.4],
+         r"repeats a mesh: \[0.4, 0.2, 0.4\]"),
+    ], ids=["mass", "smoothing", "continuum", "repeat"])
+    def test_short_or_repeating_sweep_rejected(self, monkeypatch, run, h_list, message):
+        monkeypatch.setattr(harness, "solve", None)  # rejected before any solve
+        with pytest.raises(ValueError, match=message):
+            run(ModelParams(alpha=1.5, beta=0.85), h_list)
+
+
 # the horizon search's cases: amplitude 2 fails the contraction test at
 # T = 0.1 and passes it at 0.06, one shrink later
 SHRINK_PARAMS = ModelParams(alpha=1.5, beta=0.85, p=3)
@@ -240,8 +268,8 @@ class TestContinuumStudy:
 
     def test_h_ref_precondition(self):
         params = ModelParams(alpha=1.5, beta=0.85)
-        with pytest.raises(ValueError):
-            run_continuum_study(params, [0.4, 0.2], 0.2, gauss, extent=12.8)
+        with pytest.raises(ValueError, match="h_ref must be at most"):
+            run_continuum_study(params, [0.4, 0.2, 0.1], 0.2, gauss, extent=12.8)
 
     def test_horizon_shrinks_once(self):
         rep = run_continuum_study(SHRINK_PARAMS, *SHRINK_MESHES, gaussian_profile(amplitude=2.0),

@@ -379,7 +379,7 @@ class TestSymbolTable:
         grid = LatticeGrid(h=0.2, n_points=128)
         tg = TimeGrid(T=0.4, m_steps=16)
         mu = mode_multiplier(grid, params, kind)
-        full = ml_e_grid(params.beta, np.multiply.outer(tg.times**params.beta, mu), tol=GRID_TOL)
+        full = ml_e_grid(params.beta, np.multiply.outer(tg.times**params.beta, mu))
         # solve's linear flow is its propagator table times the datum's
         # spectrum; a unit impulse has spectrum 1 at every mode, so the flow's
         # spectrum is the table itself, entry by entry, up to FFT rounding
@@ -469,7 +469,7 @@ class TestLinearPropagate:
         params = ModelParams(alpha=1.5, beta=0.85)
         u0 = prepare_initial(gauss, grid, True)
         r = 0.0**params.beta * _pair_multiplier(grid, params.alpha, "lattice")
-        first = ml_e_grid(params.beta, r, tol=GRID_TOL)
+        first = ml_e_grid(params.beta, r)
         assert np.array_equal(first, np.ones(33))
         traj = solve(params, grid, TimeGrid(T=0.3, m_steps=4), gauss, nonlinear=False)
         assert np.array_equal(traj.values[0], u0.values)

@@ -357,14 +357,20 @@ def _reference_order(beta: float, gam: float, tol: float, r: float) -> int:
     return 59
 
 
+def _plan_keys(beta: float, gam: float, tol: float, rs: np.ndarray) -> tuple[np.ndarray, int]:
+    """The keys _ml_grid reads from its plan at the radii rs, and the plan's series length."""
+    plan = special._plan(beta, gam, tol)
+    return plan.keys[np.searchsorted(plan.edges, rs, side="right")], plan.series.size
+
+
 def _order_breakpoints(beta: float, gam: float, rmax: float) -> list[float]:
     """Radii on both sides of the two outermost series order jumps and the
     two innermost asymptotic ones, below rmax."""
     rs = np.geomspace(0.5, rmax, 4000)
-    key, scoef, _ = special._grid_orders(beta, gam, special.GRID_TOL, rs)
+    key, nser = _plan_keys(beta, gam, special.GRID_TOL, rs)
     jumps = np.flatnonzero(np.diff(key) != 0)
-    series = [j for j in jumps if key[j + 1] < scoef.size]
-    asymp = [j for j in jumps if key[j] >= scoef.size]
+    series = [j for j in jumps if key[j + 1] < nser]
+    asymp = [j for j in jumps if key[j] >= nser]
     assert len(series) >= 2 and len(asymp) >= 2
     return [r for j in series[-2:] + asymp[:2] for r in (rs[j], rs[j + 1])]
 
@@ -397,10 +403,10 @@ class TestGridEvaluators:
         radius = math.log(1.0 / tol) ** beta
         rs = np.geomspace(1e-3, 3e3, 1500)
         for gam in (1.0, beta):
-            key, scoef, _ = special._grid_orders(beta, gam, tol, rs)
-            in_series = key < scoef.size
+            key, nser = _plan_keys(beta, gam, tol, rs)
+            in_series = key < nser
             assert np.array_equal(in_series, rs < radius)
-            got = np.where(in_series, key, key - scoef.size)
+            got = np.where(in_series, key, key - nser)
             want = [_reference_order(beta, gam, tol, r) for r in rs]
             assert got.tolist() == want
 
@@ -430,25 +436,23 @@ class TestGridEvaluators:
             ml_e_grid(0.85, np.array([1.0, 2.0 + 0j]))
 
     def test_plans_cached_and_read_only(self):
-        # the coefficient plans and the order table are built once per
-        # (beta, gam, tol) and shared by every call, so no caller may write
-        # into them
+        # the plan is built once per (beta, gam, tol) and shared by every
+        # call, so no caller may write into its arrays
         rs = np.linspace(0.0, 12.0, 50)
         first = ml_ee_grid(0.85, rs)
-        for plan in (special._series_plan, special._asymp_plan, special._order_table):
-            a = plan(0.85, 0.85, special.GRID_TOL)
-            b = plan(0.85, 0.85, special.GRID_TOL)
-            assert all(x is y for x, y in zip(a, b))
-            for arr in a:
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[0] = 0.0
+        plan = special._plan(0.85, 0.85, special.GRID_TOL)
+        assert special._plan(0.85, 0.85, special.GRID_TOL) is plan
+        assert plan.keys.dtype == np.int16
+        for arr in plan:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
         assert np.array_equal(ml_ee_grid(0.85, rs), first)
 
     @pytest.mark.parametrize("tol", [1e-16, 1.0, math.nan])
     def test_tolerance_out_of_range_rejected(self, tol):
         with pytest.raises(ValueError, match=rf"tolerance .* got {tol}"):
-            ml_e_grid(0.8, np.array([1.0, 30.0]), tol=tol)
+            special._ml_grid(0.8, 1.0, np.array([1.0, 30.0]), 0.0, tol)
 
     # beta >= 0.6 keeps e^{|z|^{1/beta}} inside double range at |z| = 40, arg z = 0
     @settings(max_examples=40, deadline=None)
@@ -513,6 +517,9 @@ class TestOneEvaluator:
             special._ml_grid(0.55, 1.0, np.array([1.0, 40.0]), 0.0, special.GRID_TOL)
         with pytest.raises(MLOverflowError, match=r"E_\{0\.55,1\}.*\|z\| = 40$"):
             ml_e(0.55, 40.0)
+        # the oracle too: E_0.55(37) ~ e^{37^{1/0.55}} = e^{710}
+        with pytest.raises(MLOverflowError, match=r"E_\{0\.55,1\}.*\|z\| = 37$"):
+            ml_oracle(0.55, 37.0, 1.0, digits=50)
 
 
 def test_evaluators_load_no_numpy_ma():
